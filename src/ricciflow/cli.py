@@ -2,8 +2,9 @@
 
 Every experiment writes ``trajectory.csv``, ``variation.csv`` and
 ``summary.json`` into the output directory.  Exit codes: 0 on success,
-2 on eigensolver failure (partial outputs are still flushed), 3 on
-configuration errors.
+2 on eigensolver failure (partial outputs are still flushed, and the
+solver's message and best residual go to stderr and to the summary's
+``failure`` block), 3 on configuration errors.
 """
 
 import argparse
@@ -20,8 +21,8 @@ from .flow import ConformalState, run
 from .mesh import (
     build_flat_torus,
     build_icosphere,
+    integrate,
     load_off,
-    scalar_curvature,
     total_area,
 )
 
@@ -147,6 +148,8 @@ def _base_summary(config, traj):
         "n_snapshots": len(traj.snapshots),
         "euler_characteristic": chi,
     }
+    if traj.stopping_reason == "solver_failure":
+        summary["failure"] = traj.failure
     if not traj.snapshots:
         return summary
 
@@ -157,13 +160,9 @@ def _base_summary(config, traj):
     summary["area_final"] = last.area
 
     gb_target = 4.0 * math.pi * chi
-    gb_errors = []
-    for snap in traj.snapshots:
-        curvature = scalar_curvature(mesh, snap.u)
-        total = float(np.sum(
-            curvature * mesh.base_vertex_area * np.exp(snap.u)))
-        gb_errors.append(abs(total - gb_target))
-    summary["gauss_bonnet_max_abs_error"] = max(gb_errors)
+    summary["gauss_bonnet_max_abs_error"] = max(
+        abs(integrate(mesh, snap.u, snap.R) - gb_target)
+        for snap in traj.snapshots)
 
     if traj.mode == "unnormalized":
         law_errors = [
@@ -194,7 +193,8 @@ def _base_summary(config, traj):
     summary["lambda1_area_nondecreasing"] = _nondecreasing(
         lambda1_area, MONOTONE_SLACK)
 
-    perelman_seq = [variation.perelman_lambda(snap) for snap in traj.snapshots]
+    perelman_seq = [variation.perelman_lambda(mesh, snap)
+                    for snap in traj.snapshots]
     summary["perelman"] = {
         "sequence": perelman_seq,
         "nondecreasing": _nondecreasing(perelman_seq, PERELMAN_SLACK),
@@ -324,7 +324,9 @@ def run_experiment(config, quiet=False):
     say(f"wrote {out_dir}/trajectory.csv, variation.csv, summary.json")
 
     if traj.stopping_reason == "solver_failure":
-        print("eigensolver failure; partial outputs written", file=sys.stderr)
+        print("eigensolver failure at t={t:.6g}: {message} (best residual "
+              "{best_residual}); partial outputs written"
+              .format(**traj.failure), file=sys.stderr)
         return 2
     return 0
 

@@ -11,7 +11,7 @@ Sections: ``[geometry]`` (required), ``[perturbation]``, ``[flow]``,
 with their line number; every omitted key takes a documented default.
 """
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 from .flow import MODES, FlowConfig
 
@@ -241,9 +241,3 @@ def parse_config(text):
         output_dir=values["output"].get("directory"),
         experiment=experiment,
     )
-
-
-def format_defaults():
-    """Documented defaults, for --help and the README."""
-    flow_defaults = {f.name: f.default for f in fields(FlowConfig)}
-    return flow_defaults

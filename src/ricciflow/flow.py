@@ -4,8 +4,9 @@ On a surface the flow stays inside the conformal class of the base
 metric, so the state is a single per-vertex log factor u with
 g(t) = e^u g0.  The unnormalized flow is du/dt = -R; the normalized
 flow du/dt = r - R holds the total area fixed, with r the
-area-averaged scalar curvature.  Time stepping is classical RK4 with
-curvature recomputed at every stage.
+area-averaged scalar curvature.  Time stepping is classical RK4.  Each
+state computes its curvature R once, and that R serves as the first RK4
+stage, the stop checks and the recorded snapshot.
 """
 
 from dataclasses import dataclass, field
@@ -37,11 +38,16 @@ class FlowBlowUpError(RuntimeError):
 
 @dataclass
 class ConformalState:
-    """Flow state: mesh, per-vertex log conformal factor, time."""
+    """Flow state: mesh, per-vertex log conformal factor, time.
+
+    ``curvature`` is the scalar curvature of e^u g0, computed once when
+    the state is built; ``u`` must not be modified in place afterwards.
+    """
 
     mesh: object
     u: np.ndarray
     t: float = 0.0
+    curvature: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.u = np.asarray(self.u, dtype=np.float64)
@@ -49,6 +55,7 @@ class ConformalState:
             raise ValueError("u must be a per-vertex array")
         if not np.all(np.isfinite(self.u)):
             raise ValueError("conformal factor must be finite")
+        self.curvature = scalar_curvature(self.mesh, self.u)
 
     @property
     def area(self):
@@ -99,13 +106,18 @@ class FlowConfig:
 
 @dataclass
 class SpectrumTrajectory:
-    """Recorded snapshots of one flow run plus termination metadata."""
+    """Recorded snapshots of one flow run plus termination metadata.
+
+    After a ``solver_failure`` stop, ``failure`` holds the failed state's
+    time ``t``, the solver's ``message`` and its ``best_residual``.
+    """
 
     mesh: object
     mode: str
     snapshots: list = field(default_factory=list)
     stopping_reason: str = ""
     blowup_time_estimate: float = None
+    failure: dict = None
 
     def eigenvalue_series(self, index):
         """Tracked eigenvalue branch ``index`` across all snapshots."""
@@ -116,8 +128,7 @@ class SpectrumTrajectory:
         return np.array([s.t for s in self.snapshots])
 
 
-def _flow_rhs(mesh, stiffness, u, mode):
-    curvature = scalar_curvature(mesh, u, stiffness)
+def _flow_rhs(mesh, u, curvature, mode):
     if mode == "normalized":
         weights = mesh.base_vertex_area * np.exp(u)
         r_avg = float(curvature @ weights) / float(weights.sum())
@@ -128,19 +139,22 @@ def _flow_rhs(mesh, stiffness, u, mode):
 def step(state, cfg, dt):
     """Advance one classical RK4 step of length dt.
 
-    Curvature (and, in normalized mode, the average curvature) is
-    recomputed at every stage.
+    The first stage reuses ``state.curvature``; the other three stages
+    evaluate the curvature (and, in normalized mode, the average
+    curvature) of their own intermediate factor.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     mesh = state.mesh
-    stiffness = mesh.stiffness
     u = state.u
 
-    k1 = _flow_rhs(mesh, stiffness, u, cfg.mode)
-    k2 = _flow_rhs(mesh, stiffness, u + 0.5 * dt * k1, cfg.mode)
-    k3 = _flow_rhs(mesh, stiffness, u + 0.5 * dt * k2, cfg.mode)
-    k4 = _flow_rhs(mesh, stiffness, u + dt * k3, cfg.mode)
+    def stage(v):
+        return _flow_rhs(mesh, v, scalar_curvature(mesh, v), cfg.mode)
+
+    k1 = _flow_rhs(mesh, u, state.curvature, cfg.mode)
+    k2 = stage(u + 0.5 * dt * k1)
+    k3 = stage(u + 0.5 * dt * k2)
+    k4 = stage(u + dt * k3)
     u_new = u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
     if not np.all(np.isfinite(u_new)):
@@ -153,9 +167,8 @@ def step(state, cfg, dt):
 
 def _record(state, cfg, prev_snapshot):
     mesh = state.mesh
-    stiffness = mesh.stiffness
     mass = assemble_mass(mesh, state.u)
-    raw = solve_spectrum(stiffness, mass, cfg.spectrum_k, cfg.solver_tol)
+    raw = solve_spectrum(mesh.stiffness, mass, cfg.spectrum_k, cfg.solver_tol)
     if prev_snapshot is None:
         pairs, overlaps = raw, np.ones(len(raw))
     else:
@@ -165,18 +178,14 @@ def _record(state, cfg, prev_snapshot):
         for i in range(len(pairs))
         if overlaps[i] < TRACKING_OVERLAP_FLOOR
     ]
-    curvature = scalar_curvature(mesh, state.u, stiffness)
     area = state.area
-    r_avg = integrate(mesh, state.u, curvature) / area
     return SpectrumSnapshot(
         t=state.t,
         u=state.u.copy(),
         eigenpairs=pairs,
         area=area,
-        r_avg=r_avg,
-        R_min=float(curvature.min()),
-        R_max=float(curvature.max()),
-        mesh=mesh,
+        r_avg=integrate(mesh, state.u, state.curvature) / area,
+        R=state.curvature,
         overlaps=overlaps,
         tracking_warnings=warnings,
     )
@@ -198,67 +207,60 @@ def run(initial, cfg):
     -------
     SpectrumTrajectory
         Partial trajectories are returned (not raised) on solver
-        failure and blow-up so callers can flush what exists.
+        failure and blow-up so callers can flush what exists; a solver
+        failure also fills ``traj.failure``.
     """
     mesh = initial.mesh
-    stiffness = mesh.stiffness
     traj = SpectrumTrajectory(mesh=mesh, mode=cfg.mode)
 
     area0 = initial.area
     floor = cfg.area_floor if cfg.area_floor is not None else 1e-6 * area0
 
-    try:
-        snapshot = _record(initial, cfg, None)
-    except EigenSolverError:
-        traj.stopping_reason = "solver_failure"
-        return traj
-    traj.snapshots.append(snapshot)
-
     state = initial
     steps = 0
-    reason = None
-    while True:
-        curvature = scalar_curvature(mesh, state.u, stiffness)
-        max_abs_r = float(np.max(np.abs(curvature)))
-        area = state.area
+    try:
+        snapshot = _record(initial, cfg, None)
+        traj.snapshots.append(snapshot)
+        while True:
+            curvature = state.curvature
+            max_abs_r = float(np.max(np.abs(curvature)))
+            area = state.area
 
-        if area < floor:
-            reason = "area_floor"
-            break
-        if max_abs_r > cfg.curvature_cap:
-            reason = "curvature_cap"
-            break
-        if (cfg.stop_when_round > 0.0
-                and float(curvature.max() - curvature.min()) < cfg.stop_when_round):
-            reason = "converged_round"
-            break
-        if state.t >= cfg.t_end - _T_SLOP:
-            reason = "t_end"
-            break
-
-        dt = min(cfg.dt_init, cfg.cfl_safety / max(max_abs_r, 1.0))
-        dt = min(dt, cfg.t_end - state.t)
-        try:
-            state = step(state, cfg, dt)
-        except FlowBlowUpError as exc:
-            state = exc.last_state
-            reason = "nonfinite_state"
-            break
-        steps += 1
-
-        if steps % cfg.record_every == 0:
-            try:
-                snapshot = _record(state, cfg, snapshot)
-            except EigenSolverError:
-                reason = "solver_failure"
+            if area < floor:
+                reason = "area_floor"
                 break
-            traj.snapshots.append(snapshot)
+            if max_abs_r > cfg.curvature_cap:
+                reason = "curvature_cap"
+                break
+            if (cfg.stop_when_round > 0.0
+                    and float(curvature.max() - curvature.min())
+                    < cfg.stop_when_round):
+                reason = "converged_round"
+                break
+            if state.t >= cfg.t_end - _T_SLOP:
+                reason = "t_end"
+                break
 
-    if reason != "solver_failure" and state.t > traj.snapshots[-1].t + _T_SLOP:
-        try:
+            dt = min(cfg.dt_init, cfg.cfl_safety / max(max_abs_r, 1.0))
+            dt = min(dt, cfg.t_end - state.t)
+            try:
+                state = step(state, cfg, dt)
+            except FlowBlowUpError as exc:
+                state = exc.last_state
+                reason = "nonfinite_state"
+                break
+            steps += 1
+
+            if steps % cfg.record_every == 0:
+                snapshot = _record(state, cfg, snapshot)
+                traj.snapshots.append(snapshot)
+
+        if state.t > traj.snapshots[-1].t + _T_SLOP:
             traj.snapshots.append(_record(state, cfg, traj.snapshots[-1]))
-        except EigenSolverError:
-            reason = "solver_failure"
+    except EigenSolverError as exc:
+        reason = "solver_failure"
+        traj.failure = {"t": state.t, "message": str(exc),
+                        "best_residual": exc.best_residual}
 
     traj.stopping_reason = reason
     if (reason in ("area_floor", "curvature_cap", "nonfinite_state")
@@ -300,11 +302,7 @@ def scalar_curvature_evolution_residual(traj, t_index):
     h = _check_uniform_spacing(s_prev.t, s_mid.t, s_next.t)
 
     mesh = traj.mesh
-    stiffness = mesh.stiffness
-    r_prev = scalar_curvature(mesh, s_prev.u, stiffness)
-    r_mid = scalar_curvature(mesh, s_mid.u, stiffness)
-    r_next = scalar_curvature(mesh, s_next.u, stiffness)
-
-    drdt = (r_next - r_prev) / (2.0 * h)
-    laplace_r = -(stiffness @ r_mid) / (mesh.base_vertex_area * np.exp(s_mid.u))
-    return drdt - (laplace_r + r_mid**2)
+    drdt = (s_next.R - s_prev.R) / (2.0 * h)
+    mdiag = mesh.base_vertex_area * np.exp(s_mid.u)
+    laplace_r = -(mesh.stiffness @ s_mid.R) / mdiag
+    return drdt - (laplace_r + s_mid.R**2)

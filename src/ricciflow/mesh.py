@@ -187,14 +187,6 @@ def assemble_stiffness(mesh):
         V x V stiffness matrix.
     """
     faces = mesh.faces
-    areas = mesh.face_areas
-    tiny = DEGENERATE_AREA_FACTOR * areas.mean()
-    bad = np.nonzero(areas < tiny)[0]
-    if bad.size:
-        raise DegenerateFaceError(
-            f"face {bad[0]} has area {areas[bad[0]]:.3e}, below {tiny:.3e}"
-        )
-
     # Corner k contributes w = cot(angle_k)/2 to the edge opposite it.
     i_idx = np.concatenate([faces[:, 1], faces[:, 2], faces[:, 0]])
     j_idx = np.concatenate([faces[:, 2], faces[:, 0], faces[:, 1]])
@@ -220,7 +212,7 @@ def assemble_mass(mesh, u):
     return sparse.diags(mesh.base_vertex_area * np.exp(u))
 
 
-def scalar_curvature(mesh, u, stiffness=None):
+def scalar_curvature(mesh, u):
     """Scalar curvature of the conformal metric g = e^u g0.
 
     Uses the surface conformal identity K = e^-u (K0 - Delta0 u / 2)
@@ -235,9 +227,7 @@ def scalar_curvature(mesh, u, stiffness=None):
         raise ValueError("u must be a per-vertex array")
     if not np.all(np.isfinite(u)):
         raise ValueError("conformal factor must be finite")
-    if stiffness is None:
-        stiffness = mesh.stiffness
-    lap0_u = (stiffness @ u) / mesh.base_vertex_area
+    lap0_u = (mesh.stiffness @ u) / mesh.base_vertex_area
     return 2.0 * np.exp(-u) * (mesh.base_curvature + 0.5 * lap0_u)
 
 

@@ -42,22 +42,31 @@ class Eigenpair:
 
 @dataclass
 class SpectrumSnapshot:
-    """Spectrum and curvature summary of one recorded flow time."""
+    """Spectrum and per-vertex scalar curvature R of one recorded flow time.
+
+    The mesh is not carried; it belongs to the trajectory.
+    """
 
     t: float
     u: np.ndarray
     eigenpairs: list
     area: float
     r_avg: float
-    R_min: float
-    R_max: float
-    mesh: object = None
+    R: np.ndarray
     overlaps: np.ndarray = None
     tracking_warnings: list = field(default_factory=list)
 
     @property
     def eigenvalues(self):
         return np.array([p.lam for p in self.eigenpairs])
+
+    @property
+    def R_min(self):
+        return float(self.R.min())
+
+    @property
+    def R_max(self):
+        return float(self.R.max())
 
 
 def _start_vector(n):

@@ -4,12 +4,13 @@ On a surface the eigenvalue rate along the unnormalized flow reduces to
 d(lambda)/dt = lambda * int f^2 R dmu; the normalized flow subtracts
 r * lambda.  The general dimension-n form
 lambda * int f^2 R - int R |grad f|^2 + 2 int Ric(grad f, grad f)
-collapses to the same thing through Ric = (R/2) g in 2D.  This module
-evaluates both routes, compares them against finite differences of the
-recorded eigenvalue branches, checks the normalization-derived
-integrability conditions, and exposes the curvature-shifted pencil
-eigenvalue 4L + M diag(R) whose smallest eigenvalue is nondecreasing
-along the unnormalized flow.
+collapses to that surface form through Ric = (R/2) g in 2D, so only the
+surface form is evaluated.  This module compares it against finite
+differences of the recorded eigenvalue branches, checks the
+normalization-derived integrability conditions, and exposes the
+curvature-shifted pencil eigenvalue 4L + M diag(R) whose smallest
+eigenvalue is nondecreasing along the unnormalized flow.  All of them
+read the curvature R that each snapshot carries.
 """
 
 import math
@@ -20,7 +21,7 @@ from scipy import sparse
 from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, eigsh
 
 from .flow import _check_uniform_spacing
-from .mesh import integrate, scalar_curvature
+from .mesh import integrate
 from .spectral import (
     TRACKING_OVERLAP_FLOOR,
     EigenSolverError,
@@ -42,8 +43,8 @@ def _require_nonconstant(pair):
                          "(index >= 1)")
 
 
-def _check_normalization(snapshot, pair):
-    norm = integrate(snapshot.mesh, snapshot.u, pair.f**2)
+def _check_normalization(mesh, snapshot, pair):
+    norm = integrate(mesh, snapshot.u, pair.f**2)
     if abs(norm - 1.0) > NORMALIZATION_SLACK:
         raise ValueError(
             f"eigenfunction M-norm is {norm:.9f}, off unit by more than "
@@ -51,63 +52,19 @@ def _check_normalization(snapshot, pair):
         )
 
 
-def rhs_unnormalized_surface(snapshot, pair):
+def rhs_unnormalized_surface(mesh, snapshot, pair):
     """Surface eigenvalue rate lambda * int f^2 R dmu (unnormalized flow)."""
     _require_nonconstant(pair)
-    _check_normalization(snapshot, pair)
-    mesh = snapshot.mesh
-    curvature = scalar_curvature(mesh, snapshot.u)
-    return pair.lam * integrate(mesh, snapshot.u, pair.f**2 * curvature)
+    _check_normalization(mesh, snapshot, pair)
+    return pair.lam * integrate(mesh, snapshot.u, pair.f**2 * snapshot.R)
 
 
-def rhs_normalized_surface(snapshot, pair):
+def rhs_normalized_surface(mesh, snapshot, pair):
     """Surface eigenvalue rate -r*lambda + lambda * int f^2 R dmu."""
     _require_nonconstant(pair)
-    _check_normalization(snapshot, pair)
-    mesh = snapshot.mesh
-    curvature = scalar_curvature(mesh, snapshot.u)
-    weighted = pair.lam * integrate(mesh, snapshot.u, pair.f**2 * curvature)
+    _check_normalization(mesh, snapshot, pair)
+    weighted = pair.lam * integrate(mesh, snapshot.u, pair.f**2 * snapshot.R)
     return -snapshot.r_avg * pair.lam + weighted
-
-
-def face_dirichlet_energies(mesh, f):
-    """Per-face integral of |grad f|^2 under the base metric.
-
-    Piecewise-linear gradient via cotangent weights:
-    int_T |grad f|^2 = 1/2 sum_k cot(theta_k) (f_i - f_j)^2 over the
-    three corners, with (i, j) the edge opposite corner k.  In 2D this
-    quantity is conformally invariant, so it serves every metric e^u g0.
-    """
-    f = np.asarray(f, dtype=np.float64)
-    faces = mesh.faces
-    energy = np.zeros(mesh.n_faces)
-    for k in range(3):
-        i = faces[:, (k + 1) % 3]
-        j = faces[:, (k + 2) % 3]
-        energy += 0.5 * mesh.corner_cotangents[:, k] * (f[i] - f[j]) ** 2
-    return energy
-
-
-def rhs_general_2d(snapshot, pair):
-    """Dimension-general eigenvalue rate specialized to a surface.
-
-    Evaluates lambda * int f^2 R dmu - int R |grad f|^2 dmu
-    + 2 int Ric(grad f, grad f) dmu with Ric = (R/2) g, sampling R at
-    faces for the gradient terms (vertex average per face).  The two
-    gradient integrals cancel up to quadrature, leaving the surface
-    form.
-    """
-    _require_nonconstant(pair)
-    _check_normalization(snapshot, pair)
-    mesh = snapshot.mesh
-    curvature = scalar_curvature(mesh, snapshot.u)
-
-    weighted = pair.lam * integrate(mesh, snapshot.u, pair.f**2 * curvature)
-    face_r = curvature[mesh.faces].mean(axis=1)
-    dirichlet = face_dirichlet_energies(mesh, pair.f)
-    grad_term = float(np.sum(face_r * dirichlet))
-    ricci_term = 2.0 * float(np.sum(0.5 * face_r * dirichlet))
-    return weighted - grad_term + ricci_term
 
 
 def finite_difference_rate(traj, t_index, members):
@@ -200,13 +157,12 @@ def integrability_residuals(traj, t_index, eigen_index, allow_cluster=False):
     else:
         f_dot = (s_next.eigenpairs[eigen_index].f
                  - s_prev.eigenpairs[eigen_index].f) / (2.0 * h)
-    curvature = scalar_curvature(mesh, s_mid.u)
 
     res_first = abs(
         integrate(mesh, s_mid.u, f_dot)
-        - integrate(mesh, s_mid.u, f_mid * curvature)
+        - integrate(mesh, s_mid.u, f_mid * s_mid.R)
     )
-    f2r = integrate(mesh, s_mid.u, f_mid**2 * curvature)
+    f2r = integrate(mesh, s_mid.u, f_mid**2 * s_mid.R)
     ffdot = integrate(mesh, s_mid.u, f_mid * f_dot)
     if traj.mode == "normalized":
         res_second = abs(2.0 * ffdot - f2r + s_mid.r_avg)
@@ -215,22 +171,20 @@ def integrability_residuals(traj, t_index, eigen_index, allow_cluster=False):
     return res_first, res_second
 
 
-def perelman_lambda(snapshot):
+def perelman_lambda(mesh, snapshot):
     """Smallest eigenvalue of the pencil (4L + M diag(R)) f = mu M f.
 
     Discretization of the lowest eigenvalue of -4 Delta + R, which is
-    nondecreasing along the unnormalized flow.
+    nondecreasing along the unnormalized flow.  R is ``snapshot.R``.
     """
-    mesh = snapshot.mesh
-    stiffness = mesh.stiffness
-    curvature = scalar_curvature(mesh, snapshot.u, stiffness)
     mdiag = mesh.base_vertex_area * np.exp(snapshot.u)
-    pencil = (4.0 * stiffness + sparse.diags(mdiag * curvature)).tocsc()
+    pencil = (4.0 * mesh.stiffness
+              + sparse.diags(mdiag * snapshot.R)).tocsc()
     mass = sparse.diags(mdiag)
 
     # Rayleigh quotient >= min(R), so this shift sits strictly below
     # the whole spectrum and shift-invert targets the bottom eigenvalue.
-    sigma = float(curvature.min()) - 1.0
+    sigma = snapshot.R_min - 1.0
     v0 = np.random.default_rng(_PERELMAN_V0_SEED).standard_normal(mesh.n_vertices)
     try:
         vals = eigsh(
@@ -285,9 +239,9 @@ def relative_error(fd_rate, rhs_rate):
                                          _REL_ERROR_FLOOR)
 
 
-def _cluster_subspace_overlap(s_a, s_b, members):
+def _cluster_subspace_overlap(mesh, s_a, s_b, members):
     """Smallest principal-angle cosine between two cluster eigenspaces."""
-    mdiag = s_b.mesh.base_vertex_area * np.exp(s_b.u)
+    mdiag = mesh.base_vertex_area * np.exp(s_b.u)
     block_a = np.column_stack([s_a.eigenpairs[m].f for m in members])
     block_b = np.column_stack([s_b.eigenpairs[m].f for m in members])
     overlap = block_a.T @ (mdiag[:, None] * block_b)
@@ -308,6 +262,7 @@ def variation_report(traj):
         rhs_fn = rhs_normalized_surface
     else:
         rhs_fn = rhs_unnormalized_surface
+    mesh = traj.mesh
 
     rows = []
     for t_index in range(1, len(traj.snapshots) - 1):
@@ -324,13 +279,13 @@ def variation_report(traj):
             members = tuple(cluster)
             is_cluster = len(members) > 1
             fd = finite_difference_rate(traj, t_index, members)
-            rhs = float(np.mean([rhs_fn(s_mid, s_mid.eigenpairs[m])
+            rhs = float(np.mean([rhs_fn(mesh, s_mid, s_mid.eigenpairs[m])
                                  for m in members]))
             if is_cluster:
                 # Per-vector overlaps jitter inside a degenerate
                 # eigenspace; what tracking preserves is the span.
                 tracking_ok = all(
-                    _cluster_subspace_overlap(earlier, later, members)
+                    _cluster_subspace_overlap(mesh, earlier, later, members)
                     >= TRACKING_OVERLAP_FLOOR
                     for earlier, later in ((s_prev, s_mid), (s_mid, s_next))
                 )

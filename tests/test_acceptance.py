@@ -209,7 +209,8 @@ def test_criterion_04_normalized_formula_at_unit_area(run_normalized_unit_area):
             pair = snap.eigenpairs[index]
             f2r = integrate(traj.mesh, snap.u, pair.f**2 * curvature)
             explicit = pair.lam * f2r - 8.0 * math.pi * pair.lam
-            gaps.append(abs(rhs_normalized_surface(snap, pair) - explicit))
+            gaps.append(abs(rhs_normalized_surface(traj.mesh, snap, pair)
+                            - explicit))
     med = median_rel_error(traj)
     print(f"identity gap max {max(gaps):.3e}, fd/rhs median rel err {med:.3e}")
     assert max(gaps) <= 1e-6
@@ -244,7 +245,8 @@ def test_criterion_06_perelman_functional_monotone(run_round_sphere,
         "flat torus": run_flat_torus,
     }
     for name, traj in runs.items():
-        sequence = [perelman_lambda(snap) for snap in traj.snapshots]
+        sequence = [perelman_lambda(traj.mesh, snap)
+                    for snap in traj.snapshots]
         worst = float(np.diff(sequence).min()) if len(sequence) > 1 else 0.0
         print(f"{name}: first {sequence[0]:.6f} last {sequence[-1]:.6f} "
               f"min step {worst:.2e}")

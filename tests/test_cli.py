@@ -221,7 +221,9 @@ def test_solver_failure_flushes_partial_outputs(tmp_path, capsys):
     config.flow.solver_tol = 1e-14  # below the attainable residual
     config.output_dir = str(tmp_path / "run")
     assert run_experiment(config, quiet=True) == 2
-    assert "eigensolver failure" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "eigensolver failure at t=0: " in err
+    assert "tolerance 1.0e-14" in err
 
     traj_lines = (tmp_path / "run" / "trajectory.csv").read_text().splitlines()
     assert len(traj_lines) == 1  # header only
@@ -229,6 +231,11 @@ def test_solver_failure_flushes_partial_outputs(tmp_path, capsys):
     assert summary["stopping_reason"] == "solver_failure"
     assert summary["n_snapshots"] == 0
     assert "t_final" not in summary
+    failure = summary["failure"]
+    assert failure["t"] == 0.0
+    assert "tolerance 1.0e-14" in failure["message"]
+    assert isinstance(failure["best_residual"], float)
+    assert failure["best_residual"] > 1e-14
 
 
 def test_missing_output_dir_is_a_config_error(capsys):

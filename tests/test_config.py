@@ -5,7 +5,6 @@ from ricciflow.config import (
     ExperimentConfig,
     GeometrySpec,
     PerturbationSpec,
-    format_defaults,
     parse_config,
 )
 
@@ -201,12 +200,3 @@ def test_bad_experiment_name():
     err = error_from(MINIMAL + "[experiment]\nname = destroy\n")
     assert "experiment must be one of" in str(err)
     assert err.line == 4
-
-
-def test_format_defaults_exposes_flow_defaults():
-    defaults = format_defaults()
-    assert defaults["dt_init"] == 1e-3
-    assert defaults["t_end"] == 0.3
-    assert defaults["spectrum_k"] == 6
-    assert defaults["record_every"] == 10
-    assert defaults["mode"] == "unnormalized"

@@ -32,7 +32,7 @@ def fake_trajectory(mesh, times):
     for t in times:
         traj.snapshots.append(SpectrumSnapshot(
             t=t, u=np.zeros(mesh.n_vertices), eigenpairs=[],
-            area=1.0, r_avg=0.0, R_min=0.0, R_max=0.0))
+            area=1.0, r_avg=0.0, R=np.zeros(mesh.n_vertices)))
     return traj
 
 
@@ -144,6 +144,20 @@ def test_normalized_flow_conserves_area_and_rounds_out():
     assert spread_end < spread_0
 
 
+def test_recorded_curvature_is_that_of_the_recorded_factor():
+    # R is computed once per state and carried onto each snapshot; it
+    # must be exactly the curvature of the snapshot's own u.
+    mesh = build_icosphere(2, 1.0)
+    cfg = FlowConfig(mode="normalized", dt_init=1e-3, t_end=0.022,
+                     record_every=5, spectrum_k=2)
+    traj = run(ConformalState(mesh, sphere_bump(mesh)), cfg)
+    assert traj.stopping_reason == "t_end"
+    # Records at t = 0, after steps 5, 10, 15, 20 and at the final step 22.
+    assert len(traj.snapshots) == 6
+    for snap in traj.snapshots:
+        assert np.array_equal(snap.R, scalar_curvature(mesh, snap.u))
+
+
 def test_tracking_metadata_on_smooth_run():
     mesh = build_icosphere(2, 1.0)
     cfg = FlowConfig(mode="normalized", dt_init=1e-3, t_end=0.02,
@@ -152,7 +166,7 @@ def test_tracking_metadata_on_smooth_run():
     for snap in traj.snapshots:
         assert snap.tracking_warnings == []
         assert snap.overlaps.min() > 0.99
-        assert snap.mesh is mesh
+    assert traj.mesh is mesh
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ def snapshot_from_pairs(mesh, pairs):
     return SpectrumSnapshot(
         t=0.0, u=np.zeros(mesh.n_vertices), eigenpairs=pairs,
         area=total_area(mesh, np.zeros(mesh.n_vertices)),
-        r_avg=0.0, R_min=0.0, R_max=0.0, mesh=mesh,
+        r_avg=0.0, R=np.zeros(mesh.n_vertices),
     )
 
 

@@ -19,13 +19,11 @@ from ricciflow.modelspaces import homogeneous_rate, round_sphere
 from ricciflow.spectral import Eigenpair, SpectrumSnapshot, solve_spectrum
 from ricciflow.variation import (
     ClusterGaugeError,
-    face_dirichlet_energies,
     finite_difference_rate,
     integrability_residuals,
     perelman_lambda,
     rate_bound_check,
     relative_error,
-    rhs_general_2d,
     rhs_normalized_surface,
     rhs_unnormalized_surface,
     variation_report,
@@ -33,16 +31,15 @@ from ricciflow.variation import (
 
 
 def make_snapshot(mesh, u=None, k=6):
+    """(mesh, snapshot) of the metric e^u g0."""
     u = np.zeros(mesh.n_vertices) if u is None else u
     mass = assemble_mass(mesh, u)
     pairs = solve_spectrum(mesh.stiffness, mass, k)
     curvature = scalar_curvature(mesh, u)
     area = total_area(mesh, u)
-    return SpectrumSnapshot(
+    return mesh, SpectrumSnapshot(
         t=0.0, u=u, eigenpairs=pairs, area=area,
-        r_avg=integrate(mesh, u, curvature) / area,
-        R_min=float(curvature.min()), R_max=float(curvature.max()),
-        mesh=mesh)
+        r_avg=integrate(mesh, u, curvature) / area, R=curvature)
 
 
 @pytest.fixture(scope="module")
@@ -87,62 +84,43 @@ def bumpy_sphere_traj():
 def test_round_sphere_rate_is_twice_lambda1(sphere_snapshot):
     # On the unit round sphere lambda_1 = 2 and R = 2, so the rate
     # lambda * int f^2 R dmu evaluates to 4.
-    pair = sphere_snapshot.eigenpairs[1]
+    mesh, snap = sphere_snapshot
+    pair = snap.eigenpairs[1]
     assert abs(pair.lam - 2.0) < 0.02
-    mesh = sphere_snapshot.mesh
-    curvature = scalar_curvature(mesh, sphere_snapshot.u)
-    f2r = integrate(mesh, sphere_snapshot.u, pair.f**2 * curvature)
+    curvature = scalar_curvature(mesh, snap.u)
+    f2r = integrate(mesh, snap.u, pair.f**2 * curvature)
     assert abs(f2r - 2.0) < 0.04
-    assert abs(rhs_unnormalized_surface(sphere_snapshot, pair) - 4.0) < 0.08
+    assert abs(rhs_unnormalized_surface(mesh, snap, pair) - 4.0) < 0.08
 
 
 def test_round_sphere_normalized_rate_vanishes(sphere_snapshot):
     # The normalized flow fixes the round sphere, so every eigenvalue
     # branch is stationary: -r*lambda cancels the surface integral.
+    mesh, snap = sphere_snapshot
     for index in (1, 2, 3):
-        pair = sphere_snapshot.eigenpairs[index]
-        assert abs(rhs_normalized_surface(sphere_snapshot, pair)) < 1e-3
+        pair = snap.eigenpairs[index]
+        assert abs(rhs_normalized_surface(mesh, snap, pair)) < 1e-3
 
 
 def test_flat_torus_rates_vanish(torus_snapshot):
+    mesh, snap = torus_snapshot
     for index in (1, 2):
-        pair = torus_snapshot.eigenpairs[index]
-        assert abs(rhs_unnormalized_surface(torus_snapshot, pair)) < 1e-9
-        assert abs(rhs_normalized_surface(torus_snapshot, pair)) < 1e-9
-
-
-def test_general_form_collapses_to_surface_form(sphere_snapshot, torus_snapshot):
-    # In 2D, Ric = (R/2) g makes the two gradient integrals cancel, so
-    # the dimension-general expression must reproduce the surface one.
-    for snapshot in (sphere_snapshot, torus_snapshot):
-        for index in (1, 2, 3):
-            pair = snapshot.eigenpairs[index]
-            general = rhs_general_2d(snapshot, pair)
-            surface = rhs_unnormalized_surface(snapshot, pair)
-            assert abs(general - surface) <= 1e-12 * max(1.0, abs(surface))
+        pair = snap.eigenpairs[index]
+        assert abs(rhs_unnormalized_surface(mesh, snap, pair)) < 1e-9
+        assert abs(rhs_normalized_surface(mesh, snap, pair)) < 1e-9
 
 
 def test_rate_inputs_are_validated(sphere_snapshot):
-    constant = sphere_snapshot.eigenpairs[0]
-    for fn in (rhs_unnormalized_surface, rhs_normalized_surface, rhs_general_2d):
+    mesh, snap = sphere_snapshot
+    constant = snap.eigenpairs[0]
+    for fn in (rhs_unnormalized_surface, rhs_normalized_surface):
         with pytest.raises(ValueError, match="nonconstant"):
-            fn(sphere_snapshot, constant)
-    pair = sphere_snapshot.eigenpairs[1]
+            fn(mesh, snap, constant)
+    pair = snap.eigenpairs[1]
     scaled = Eigenpair(index=pair.index, lam=pair.lam, f=1.01 * pair.f)
-    for fn in (rhs_unnormalized_surface, rhs_normalized_surface, rhs_general_2d):
+    for fn in (rhs_unnormalized_surface, rhs_normalized_surface):
         with pytest.raises(ValueError, match="M-norm"):
-            fn(sphere_snapshot, scaled)
-
-
-def test_face_dirichlet_energies_sum_to_stiffness_form(sphere_snapshot):
-    # Summing the per-face energies is exactly the stiffness quadratic
-    # form f^T L f; both assemble the same cotangent sums.
-    mesh = sphere_snapshot.mesh
-    rng = np.random.default_rng(42)
-    for _ in range(3):
-        f = rng.standard_normal(mesh.n_vertices)
-        total = float(np.sum(face_dirichlet_energies(mesh, f)))
-        assert_allclose(total, float(f @ (mesh.stiffness @ f)), rtol=1e-11)
+            fn(mesh, snap, scaled)
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +134,7 @@ def fake_lambda_trajectory(times, lam_rows):
                  for i, lam in enumerate(lams)]
         traj.snapshots.append(SpectrumSnapshot(
             t=t, u=np.zeros(1), eigenpairs=pairs, area=1.0,
-            r_avg=0.0, R_min=0.0, R_max=0.0))
+            r_avg=0.0, R=np.zeros(1)))
     return traj
 
 
@@ -227,8 +205,8 @@ def test_integrability_input_validation(round_sphere_traj):
 def test_perelman_lambda_on_model_surfaces(sphere_snapshot, torus_snapshot):
     # -4*Delta + R has bottom eigenvalue min(R) = 2 on the unit round
     # sphere (constant eigenfunction) and 0 on the flat torus.
-    assert abs(perelman_lambda(sphere_snapshot) - 2.0) < 0.04
-    assert abs(perelman_lambda(torus_snapshot)) < 1e-8
+    assert abs(perelman_lambda(*sphere_snapshot) - 2.0) < 0.04
+    assert abs(perelman_lambda(*torus_snapshot)) < 1e-8
 
 
 # ---------------------------------------------------------------------------
