@@ -2,7 +2,8 @@
 
 Every experiment writes ``trajectory.csv``, ``variation.csv`` and
 ``summary.json`` into the output directory.  Exit codes: 0 on success,
-2 on eigensolver failure (partial outputs are still flushed, and the
+2 on eigensolver failure, in the flow's Laplace solves or in the
+summary's Perelman solves (partial outputs are still flushed, and the
 solver's message and best residual go to stderr and to the summary's
 ``failure`` block), 3 on configuration errors.
 """
@@ -25,6 +26,7 @@ from .mesh import (
     load_off,
     total_area,
 )
+from .spectral import EigenSolverError
 
 MONOTONE_SLACK = 1e-8
 PERELMAN_SLACK = 1e-6
@@ -193,8 +195,15 @@ def _base_summary(config, traj):
     summary["lambda1_area_nondecreasing"] = _nondecreasing(
         lambda1_area, MONOTONE_SLACK)
 
-    perelman_seq = [variation.perelman_lambda(mesh, snap)
-                    for snap in traj.snapshots]
+    perelman_seq = []
+    for snap in traj.snapshots:
+        try:
+            perelman_seq.append(variation.perelman_lambda(mesh, snap))
+        except EigenSolverError as exc:
+            summary.setdefault("failure", {
+                "t": snap.t, "message": str(exc),
+                "best_residual": exc.best_residual})
+            break
     summary["perelman"] = {
         "sequence": perelman_seq,
         "nondecreasing": _nondecreasing(perelman_seq, PERELMAN_SLACK),
@@ -323,10 +332,10 @@ def run_experiment(config, quiet=False):
     write_summary_json(out_dir / "summary.json", summary)
     say(f"wrote {out_dir}/trajectory.csv, variation.csv, summary.json")
 
-    if traj.stopping_reason == "solver_failure":
+    if "failure" in summary:
         print("eigensolver failure at t={t:.6g}: {message} (best residual "
               "{best_residual}); partial outputs written"
-              .format(**traj.failure), file=sys.stderr)
+              .format(**summary["failure"]), file=sys.stderr)
         return 2
     return 0
 

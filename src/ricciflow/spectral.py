@@ -3,13 +3,23 @@
 Solves L f = lambda M f for the smallest eigenvalues of the cotangent
 stiffness / lumped mass pencil via shift-inverted Lanczos iteration, and
 keeps eigenbranch identities consistent between nearby metrics by
-overlap matching.
+overlap matching.  The shift-invert operator, shared with the Perelman
+pencil in ``variation``, factors the shifted pencil once per solve in a
+nested-dissection order that is computed once per sparsity pattern.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, eigsh
+import scipy.sparse.linalg as sparse_linalg
+from scipy import sparse
+from scipy.sparse import csgraph
+from scipy.sparse.linalg import (
+    ArpackError,
+    ArpackNoConvergence,
+    LinearOperator,
+    eigsh,
+)
 
 # Negative shift keeps L - sigma*M positive definite for every pencil,
 # so the shift-invert factorization never hits a singular matrix.
@@ -17,6 +27,8 @@ _SIGMA = -1e-2
 _V0_SEED = 20170
 # Extra pairs requested beyond k, tried in order until the contract holds.
 _GUARD_PAIRS = (0, 1, 2)
+# Parts this small are not dissected further; they keep vertex order.
+_LEAF_SIZE = 12
 
 DEFAULT_TOL = 1e-10
 CLUSTER_REL_GAP = 1e-6
@@ -82,6 +94,9 @@ def solve_spectrum(stiffness, mass, k, tol=DEFAULT_TOL):
     the exact constant with unit M-norm.  Higher indices are projected
     M-orthogonal to constants and normalized to unit M-norm.
 
+    ``L - sigma M`` is factored once (see ``shift_invert``) and every
+    attempt below reuses that factorization.
+
     The first attempt asks ARPACK for exactly k + 1 pairs.  When that
     set ends inside a degenerate cluster (round spheres, flat tori),
     the cut pair can come back short of the residual contract.  Only
@@ -118,11 +133,12 @@ def solve_spectrum(stiffness, mass, k, tol=DEFAULT_TOL):
         raise ValueError("tol below 1e-14 is not achievable in double precision")
 
     mdiag = np.asarray(mass.diagonal(), dtype=np.float64)
+    op_inv = shift_invert(stiffness - _SIGMA * mass)
     misses = []
     for guards in _GUARD_PAIRS:
         if k + 1 + guards >= n:
             break
-        pairs = _solve_once(stiffness, mass, mdiag, k, guards, tol)
+        pairs = _solve_once(stiffness, mass, mdiag, op_inv, k, guards, tol)
         worst = max(_relative_residual(stiffness, mdiag, p.lam, p.f)
                     for p in pairs)
         if worst <= tol:
@@ -141,7 +157,16 @@ def _relative_residual(stiffness, mdiag, lam, f):
     return float(np.linalg.norm(stiffness @ f - lam * mf) / np.linalg.norm(mf))
 
 
-def _solve_once(stiffness, mass, mdiag, k, guards, tol):
+def _converged_residual(exc, matrix, mdiag):
+    """Worst relative residual of the pairs an ``ArpackNoConvergence``
+    carries, or None when ARPACK converged none."""
+    if exc.eigenvalues is None or not len(exc.eigenvalues):
+        return None
+    return max(_relative_residual(matrix, mdiag, lam, f)
+               for lam, f in zip(exc.eigenvalues, exc.eigenvectors.T))
+
+
+def _solve_once(stiffness, mass, mdiag, op_inv, k, guards, tol):
     """One shift-invert Lanczos solve for k + 1 + guards pairs.
 
     Returns pairs 0..k, normalized as ``solve_spectrum`` documents,
@@ -154,19 +179,16 @@ def _solve_once(stiffness, mass, mdiag, k, guards, tol):
             k=k + 1 + guards,
             M=mass,
             sigma=_SIGMA,
+            OPinv=op_inv,
             which="LM",
             v0=_start_vector(n),
             maxiter=10 * n,
             tol=0,
         )
     except ArpackNoConvergence as exc:
-        best = None
-        if exc.eigenvalues is not None and len(exc.eigenvalues):
-            best = max(_relative_residual(stiffness, mdiag, lam, f)
-                       for lam, f in zip(exc.eigenvalues, exc.eigenvectors.T))
         raise EigenSolverError(
             f"Lanczos iteration did not converge within {10 * n} iterations",
-            best_residual=best,
+            best_residual=_converged_residual(exc, stiffness, mdiag),
         ) from exc
     except ArpackError as exc:
         raise EigenSolverError(f"eigensolver failure: {exc}") from exc
@@ -176,9 +198,13 @@ def _solve_once(stiffness, mass, mdiag, k, guards, tol):
     vecs = vecs[:, order]
     area = mdiag.sum()
 
-    if vals[0] > tol:
+    # The constant mode's eigenvalue is zero up to roundoff that scales
+    # with the spectrum; pair 0 then meets the residual contract or not
+    # like every other pair.
+    if vals[0] > tol * max(1.0, vals[-1]):
         raise EigenSolverError(
-            f"constant mode missing: smallest eigenvalue {vals[0]:.3e} > tol"
+            f"constant mode missing: smallest eigenvalue {vals[0]:.3e} is "
+            f"not zero against the largest requested {vals[-1]:.3e}"
         )
 
     pairs = [Eigenpair(0, float(max(vals[0], 0.0)),
@@ -191,6 +217,163 @@ def _solve_once(stiffness, mass, mdiag, k, guards, tol):
             f = -f
         pairs.append(Eigenpair(i, float(vals[i]), f))
     return pairs
+
+
+def shift_invert(pencil):
+    """Operator b -> pencil^-1 b, for ``eigsh``'s ``OPinv``.
+
+    ``pencil`` is a symmetric positive definite sparse matrix, already
+    shifted.  It is factored once, as P pencil P^T in the nested-dissection
+    order of its sparsity pattern with no further column ordering, and
+    each application solves x[order] = lu.solve(b[order]).  The order is
+    computed at the first factorization of a pattern and kept for the
+    next pencil with the same ``indptr`` and ``indices``: connectivity
+    never changes along a conformal flow, and the Laplace and Perelman
+    pencils share the stiffness pattern.
+    """
+    global _ORDERING
+    pencil = sparse.csr_matrix(pencil)
+    pencil.sum_duplicates()
+    if _ORDERING is None or not _ORDERING.matches(pencil):
+        _ORDERING = _PatternOrdering(pencil)
+    order = _ORDERING.order
+    # Looked up at call time, so a wrapper installed on scipy's splu after
+    # this module is imported (as the benchmark tracer does) sees the call.
+    lu = sparse_linalg.splu(_ORDERING.permute(pencil), permc_spec="NATURAL")
+
+    def solve(rhs):
+        x = np.empty_like(rhs)
+        x[order] = lu.solve(rhs[order])
+        return x
+
+    return LinearOperator(pencil.shape, matvec=solve, dtype=np.float64)
+
+
+class _PatternOrdering:
+    """Nested-dissection order of one CSR pattern, with the entry map
+    that lays a matrix of that pattern out as P A P^T in CSC form."""
+
+    def __init__(self, pattern):
+        n = pattern.shape[0]
+        self.indptr = pattern.indptr.copy()
+        self.indices = pattern.indices.copy()
+        self.order = nested_dissection(pattern)
+        position = np.empty(n, dtype=self.indices.dtype)
+        position[self.order] = np.arange(n)
+        rows = position[np.repeat(np.arange(n), np.diff(self.indptr))]
+        cols = position[self.indices]
+        self.take = np.lexsort((rows, cols))
+        self.permuted_indices = rows[self.take]
+        self.permuted_indptr = np.zeros(n + 1, dtype=self.indptr.dtype)
+        np.cumsum(np.bincount(cols, minlength=n), out=self.permuted_indptr[1:])
+
+    def matches(self, pattern):
+        return (np.array_equal(pattern.indptr, self.indptr)
+                and np.array_equal(pattern.indices, self.indices))
+
+    def permute(self, matrix):
+        return sparse.csc_matrix(
+            (matrix.data.take(self.take), self.permuted_indices,
+             self.permuted_indptr), shape=matrix.shape)
+
+
+_ORDERING = None
+
+
+def nested_dissection(pattern):
+    """Fill-reducing elimination order of a symmetric sparsity pattern.
+
+    Graph nested dissection (A. George, SIAM J. Numer. Anal. 10(2),
+    1973) with level-set separators: each connected part larger than
+    ``_LEAF_SIZE`` is cut at the median breadth-first level from a
+    pseudo-peripheral vertex, and what is left is dissected in turn.
+    All parts of one depth are cut together, and the parts are found
+    again as the connected components left after removing the
+    separators, so no vertex coordinates are used.  Deeper parts come
+    first and every separator follows the parts it splits.
+
+    Returns ``order``: row and column i of the permuted matrix are row
+    and column ``order[i]`` of the original.
+    """
+    pattern = sparse.csr_matrix(pattern)
+    n = pattern.shape[0]
+    all_rows = np.repeat(np.arange(n), np.diff(pattern.indptr))
+    all_cols = pattern.indices
+    depth = np.zeros(n, dtype=np.int64)
+    live = np.ones(n, dtype=bool)
+    cut = 0
+    while live.any():
+        cut += 1
+        keep = live[all_rows] & live[all_cols]
+        graph = sparse.csr_matrix(
+            (np.ones(keep.sum()), (all_rows[keep], all_cols[keep])),
+            shape=(n, n))
+        _, part = csgraph.connected_components(graph, connection="strong")
+        small = live & (np.bincount(part)[part] <= _LEAF_SIZE)
+        depth[small] = cut
+        live &= ~small
+        members = np.flatnonzero(live)
+        if not len(members):
+            break
+        level = _peripheral_levels(graph, part[members], members)
+        separator = members[level == _group_median(part[members], level)]
+        depth[separator] = cut
+        live[separator] = False
+    return np.argsort(-depth, kind="stable")
+
+
+def _bfs_levels(graph, roots):
+    """Breadth-first level of every vertex below its nearest root."""
+    return csgraph.dijkstra(graph, indices=roots, unweighted=True,
+                            min_only=True)
+
+
+def _first_per_group(groups, keys):
+    """Index of the smallest ``keys`` entry in each group (ties: first)."""
+    order = np.lexsort((keys, groups))
+    _, first = np.unique(groups[order], return_index=True)
+    return order[first]
+
+
+def _group_max(groups, values):
+    """Largest ``values`` entry of each group, indexed by group id."""
+    top = np.full(groups.max() + 1, -np.inf)
+    np.maximum.at(top, groups, values)
+    return top
+
+
+def _group_median(groups, values):
+    """Per member, the median value of its group (upper median)."""
+    order = np.lexsort((values, groups))
+    ids, first, count = np.unique(groups[order], return_index=True,
+                                  return_counts=True)
+    median = np.zeros(groups.max() + 1)
+    median[ids] = values[order][first + count // 2]
+    return median[groups]
+
+
+def _peripheral_levels(graph, groups, members):
+    """Breadth-first levels of ``members`` in each group (a connected part
+    of ``graph``) from a pseudo-peripheral vertex of that group.
+
+    George and Liu's search: start at a vertex of least degree and move
+    to a least-degree vertex of the last level while that lengthens the
+    level structure.
+    """
+    degree = np.diff(graph.indptr)[members]
+    roots = members[_first_per_group(groups, degree)]
+    level = _bfs_levels(graph, roots)[members]
+    while True:
+        far = _group_max(groups, level)
+        at_far = np.flatnonzero(level == far[groups])
+        roots = members[at_far[_first_per_group(groups[at_far],
+                                                degree[at_far])]]
+        candidate = _bfs_levels(graph, roots)[members]
+        longer = _group_max(groups, candidate) > far
+        if not longer.any():
+            return level
+        take = longer[groups]
+        level[take] = candidate[take]
 
 
 def rayleigh_quotient(f, stiffness, mass):

@@ -25,7 +25,9 @@ from .mesh import integrate
 from .spectral import (
     TRACKING_OVERLAP_FLOOR,
     EigenSolverError,
+    _converged_residual,
     eigenvalue_clusters,
+    shift_invert,
 )
 
 NORMALIZATION_SLACK = 1e-6
@@ -176,10 +178,13 @@ def perelman_lambda(mesh, snapshot):
 
     Discretization of the lowest eigenvalue of -4 Delta + R, which is
     nondecreasing along the unnormalized flow.  R is ``snapshot.R``.
+    The shifted pencil is factored through ``spectral.shift_invert``, so
+    it reuses the Laplace pencil's nested-dissection order.  On failure
+    the ``EigenSolverError`` carries the relative residual
+    ||A f - mu M f|| / ||M f|| of the pair ARPACK did converge, or None.
     """
     mdiag = mesh.base_vertex_area * np.exp(snapshot.u)
-    pencil = (4.0 * mesh.stiffness
-              + sparse.diags(mdiag * snapshot.R)).tocsc()
+    pencil = 4.0 * mesh.stiffness + sparse.diags(mdiag * snapshot.R)
     mass = sparse.diags(mdiag)
 
     # Rayleigh quotient >= min(R), so this shift sits strictly below
@@ -192,13 +197,18 @@ def perelman_lambda(mesh, snapshot):
             k=1,
             M=mass,
             sigma=sigma,
+            OPinv=shift_invert(pencil - sigma * mass),
             which="LM",
             v0=v0,
             maxiter=10 * mesh.n_vertices,
             tol=0,
             return_eigenvectors=False,
         )
-    except (ArpackNoConvergence, ArpackError) as exc:
+    except ArpackNoConvergence as exc:
+        raise EigenSolverError(
+            f"curvature-shifted pencil solve failed: {exc}",
+            best_residual=_converged_residual(exc, pencil, mdiag)) from exc
+    except ArpackError as exc:
         raise EigenSolverError(f"curvature-shifted pencil solve failed: {exc}") \
             from exc
     return float(vals[0])

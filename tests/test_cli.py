@@ -3,7 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import ArpackNoConvergence
 
+from ricciflow import variation
 from ricciflow.cli import (
     build_geometry,
     conformal_bump,
@@ -236,6 +238,40 @@ def test_solver_failure_flushes_partial_outputs(tmp_path, capsys):
     assert "tolerance 1.0e-14" in failure["message"]
     assert isinstance(failure["best_residual"], float)
     assert failure["best_residual"] > 1e-14
+
+
+def test_perelman_failure_flushes_partial_outputs(tmp_path, capsys,
+                                                 monkeypatch):
+    real_eigsh = variation.eigsh
+    expected = []
+
+    def no_convergence(pencil, **kwargs):
+        vals, vecs = real_eigsh(pencil, **dict(kwargs, return_eigenvectors=True))
+        f = vecs[:, 0] + 1e-3 * np.random.default_rng(0).standard_normal(
+            len(vecs))
+        mf = kwargs["M"] @ f
+        expected.append(np.linalg.norm(pencil @ f - vals[0] * mf)
+                        / np.linalg.norm(mf))
+        raise ArpackNoConvergence("no convergence", vals, f[:, None])
+
+    monkeypatch.setattr(variation, "eigsh", no_convergence)
+    config = parse_config(TORUS_VERIFY)
+    config.output_dir = str(tmp_path / "run")
+    assert run_experiment(config, quiet=True) == 2
+    err = capsys.readouterr().err
+    assert "eigensolver failure at t=0: curvature-shifted pencil" in err
+
+    out = tmp_path / "run"
+    assert len((out / "trajectory.csv").read_text().splitlines()) == 7
+    assert len((out / "variation.csv").read_text().splitlines()) > 1
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["stopping_reason"] == "t_end"
+    assert summary["perelman"]["sequence"] == []
+    failure = summary["failure"]
+    assert failure["t"] == 0.0
+    assert "no convergence" in failure["message"]
+    assert failure["best_residual"] == pytest.approx(expected[0], rel=1e-12)
+    assert failure["best_residual"] > 1e-6
 
 
 def test_missing_output_dir_is_a_config_error(capsys):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
@@ -23,12 +23,6 @@ from ricciflow.mesh import (
     scalar_curvature,
     total_area,
 )
-
-
-# Property tests run a fixed, seed-independent example sequence so the
-# suite stays deterministic.
-PROPERTY_SETTINGS = settings(max_examples=30, deadline=None,
-                             derandomize=True, database=None)
 
 
 def vertex_degrees(mesh):
@@ -186,7 +180,6 @@ def embedded_dirichlet_energy(mesh, f):
     return total
 
 
-@PROPERTY_SETTINGS
 @given(subdivisions=st.integers(1, 2), seed=st.integers(0, 2**32 - 1),
        jitter=st.floats(0.25, 0.4))
 def test_stiffness_structure_on_jittered_icospheres(subdivisions, seed,
@@ -358,7 +351,6 @@ GAUSS_BONNET_CASES = (
 )
 
 
-@PROPERTY_SETTINGS
 @given(st.data())
 def test_gauss_bonnet_exact_for_any_conformal_factor(data):
     mesh, target = data.draw(st.sampled_from(GAUSS_BONNET_CASES))

@@ -2,12 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.sparse import identity
-from scipy.sparse.linalg import ArpackNoConvergence
+from scipy.sparse.linalg import ArpackNoConvergence, eigsh
+from scipy.sparse.linalg import norm as sparse_norm
 
 import ricciflow.spectral as spectral
 from ricciflow.mesh import (
+    Mesh,
     assemble_mass,
     build_flat_torus,
     build_icosphere,
@@ -209,6 +213,110 @@ def test_missing_constant_mode_carries_no_residual():
     with pytest.raises(EigenSolverError, match="constant mode") as info:
         solve_spectrum(shifted, mass, k=2)
     assert info.value.best_residual is None
+
+
+def test_guard_retries_reuse_one_factorization(monkeypatch):
+    mesh = build_flat_torus(8, 8, 1.0, 1.0)
+    mass = assemble_mass(mesh, np.zeros(mesh.n_vertices))
+    real_eigsh, real_splu = spectral.eigsh, spectral.sparse_linalg.splu
+    operators, factorizations = [], []
+
+    def first_attempt_misses(*args, **kwargs):
+        operators.append(kwargs["OPinv"])
+        vals, vecs = real_eigsh(*args, **kwargs)
+        if len(operators) == 1:
+            noise = np.random.default_rng(0).standard_normal(len(vecs))
+            vecs[:, np.argmax(vals)] += 1e-3 * noise
+        return vals, vecs
+
+    def counting_splu(*args, **kwargs):
+        factorizations.append(args[0].shape)
+        return real_splu(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, "eigsh", first_attempt_misses)
+    monkeypatch.setattr(spectral.sparse_linalg, "splu", counting_splu)
+    pairs = solve_spectrum(mesh.stiffness, mass, k=3)
+    assert len(operators) == 2              # the first attempt was retried
+    assert operators[0] is operators[1]
+    assert factorizations == [(64, 64)]
+    assert len(pairs) == 4
+
+
+def test_both_pencils_share_one_ordering(monkeypatch):
+    from ricciflow.variation import perelman_lambda
+
+    mesh = build_icosphere(2, 1.0)
+    real = spectral.nested_dissection
+    calls = []
+
+    def counting(pattern):
+        calls.append(pattern.shape)
+        return real(pattern)
+
+    monkeypatch.setattr(spectral, "_ORDERING", None)
+    monkeypatch.setattr(spectral, "nested_dissection", counting)
+    rng = np.random.default_rng(3)
+    for _ in range(3):
+        u = 0.2 * rng.standard_normal(mesh.n_vertices)
+        pairs = solve_spectrum(mesh.stiffness, assemble_mass(mesh, u), k=4)
+        snap = snapshot_from_pairs(mesh, pairs)
+        snap.u = u
+        snap.R = 1.0 + rng.standard_normal(mesh.n_vertices)
+        perelman_lambda(mesh, snap)
+    assert calls == [(mesh.n_vertices, mesh.n_vertices)]
+
+
+def jittered_icosphere(subdivisions, seed):
+    base = build_icosphere(subdivisions, 1.0)
+    rng = np.random.default_rng(seed)
+    spacing = base.corner_lengths.mean()
+    return Mesh(base.vertices
+                + 0.2 * spacing * rng.standard_normal(base.vertices.shape),
+                base.faces)
+
+
+def two_spheres(subdivisions):
+    one = build_icosphere(subdivisions, 1.0)
+    return Mesh(np.vstack([one.vertices, one.vertices + 3.0]),
+                np.vstack([one.faces, one.faces + one.n_vertices]))
+
+
+ORDERING_MESHES = st.one_of(
+    st.builds(build_icosphere, st.integers(0, 3), st.just(1.0)),
+    st.builds(build_flat_torus, st.integers(3, 20), st.integers(3, 20),
+              st.floats(0.5, 2.0), st.floats(0.5, 2.0)),
+    st.builds(jittered_icosphere, st.integers(1, 2), st.integers(0, 2**32 - 1)),
+    st.builds(two_spheres, st.integers(0, 2)),
+)
+
+
+@given(mesh=ORDERING_MESHES, k=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+def test_nested_dissection_operator_properties(mesh, k, seed):
+    n = mesh.n_vertices
+    rng = np.random.default_rng(seed)
+    mass = assemble_mass(mesh, 0.3 * rng.standard_normal(n))
+    pencil = (mesh.stiffness - spectral._SIGMA * mass).tocsr()
+
+    order = spectral.nested_dissection(pencil)
+    assert np.array_equal(np.sort(order), np.arange(n))
+
+    # Normwise backward error of the solve.  A plain ||Ax - b|| <= 1e-12 ||b||
+    # is out of reach for any LU once cond(pencil) passes ~1e4, as it does
+    # on thin tori.
+    b = rng.standard_normal(n)
+    x = spectral.shift_invert(pencil).matvec(b)
+    scale = sparse_norm(pencil) * np.linalg.norm(x) + np.linalg.norm(b)
+    assert np.linalg.norm(pencil @ x - b) <= 1e-12 * scale
+
+    # Reference: scipy's own shift-invert path (COLAMD-ordered splu),
+    # with two guard pairs so a cut cluster cannot spoil it.
+    ref = np.sort(eigsh(mesh.stiffness, k=min(k + 3, n - 1), M=mass,
+                        sigma=spectral._SIGMA, which="LM",
+                        v0=spectral._start_vector(n), tol=0,
+                        maxiter=10 * n)[0])
+    got = [p.lam for p in solve_spectrum(mesh.stiffness, mass, k)]
+    # Zero eigenvalues (one per component) compare on the spectrum's scale.
+    assert_allclose(got[1:], ref[1:k + 1], rtol=1e-12, atol=1e-12 * ref[-1])
 
 
 def test_solve_spectrum_input_guards():
