@@ -168,11 +168,12 @@ def step(state, cfg, dt):
 def _record(state, cfg, prev_snapshot):
     mesh = state.mesh
     mass = assemble_mass(mesh, state.u)
+    mass_diag = mass.diagonal()
     raw = solve_spectrum(mesh.stiffness, mass, cfg.spectrum_k, cfg.solver_tol)
     if prev_snapshot is None:
         pairs, overlaps = raw, np.ones(len(raw))
     else:
-        pairs, overlaps = track(prev_snapshot, raw, mass)
+        pairs, overlaps = track(prev_snapshot, raw, mass_diag)
     warnings = [
         f"tracking loss at index {i}: overlap {overlaps[i]:.3f}"
         for i in range(len(pairs))
@@ -186,6 +187,7 @@ def _record(state, cfg, prev_snapshot):
         area=area,
         r_avg=integrate(mesh, state.u, state.curvature) / area,
         R=state.curvature,
+        mass_diag=mass_diag,
         overlaps=overlaps,
         tracking_warnings=warnings,
     )
@@ -303,6 +305,5 @@ def scalar_curvature_evolution_residual(traj, t_index):
 
     mesh = traj.mesh
     drdt = (s_next.R - s_prev.R) / (2.0 * h)
-    mdiag = mesh.base_vertex_area * np.exp(s_mid.u)
-    laplace_r = -(mesh.stiffness @ s_mid.R) / mdiag
+    laplace_r = -(mesh.stiffness @ s_mid.R) / s_mid.mass_diag
     return drdt - (laplace_r + s_mid.R**2)

@@ -6,6 +6,12 @@ keeps eigenbranch identities consistent between nearby metrics by
 overlap matching.  The shift-invert operator, shared with the Perelman
 pencil in ``variation``, factors the shifted pencil once per solve in a
 nested-dissection order that is computed once per sparsity pattern.
+
+Products of per-vertex eigenvector blocks are elementwise reductions
+(``mass_gram``, ``_relative_residuals``), never BLAS calls: a length-V
+dot product crosses OpenBLAS's threading threshold on fine meshes, and
+waking NumPy's BLAS thread pool right after ARPACK, while SciPy's own
+pool still spins, costs far more than the product itself.
 """
 
 from dataclasses import dataclass, field
@@ -56,7 +62,9 @@ class Eigenpair:
 class SpectrumSnapshot:
     """Spectrum and per-vertex scalar curvature R of one recorded flow time.
 
-    The mesh is not carried; it belongs to the trajectory.
+    ``mass_diag`` is the lumped mass diagonal base_vertex_area * e^u that
+    the spectrum was solved with.  The mesh is not carried; it belongs
+    to the trajectory.
     """
 
     t: float
@@ -65,6 +73,7 @@ class SpectrumSnapshot:
     area: float
     r_avg: float
     R: np.ndarray
+    mass_diag: np.ndarray
     overlaps: np.ndarray = None
     tracking_warnings: list = field(default_factory=list)
 
@@ -138,11 +147,14 @@ def solve_spectrum(stiffness, mass, k, tol=DEFAULT_TOL):
     for guards in _GUARD_PAIRS:
         if k + 1 + guards >= n:
             break
-        pairs = _solve_once(stiffness, mass, mdiag, op_inv, k, guards, tol)
-        worst = max(_relative_residual(stiffness, mdiag, p.lam, p.f)
-                    for p in pairs)
+        vals, block = _solve_once(stiffness, mass, mdiag, op_inv, k, guards,
+                                  tol)
+        worst = float(_relative_residuals(stiffness, mdiag, vals, block).max())
         if worst <= tol:
-            return pairs
+            # Each pair owns its vector: columns viewing one shared block
+            # would keep the whole block alive for as long as any pair.
+            return [Eigenpair(i, float(lam), block[:, i].copy())
+                    for i, lam in enumerate(vals)]
         misses.append(worst)
     raise EigenSolverError(
         f"residual {min(misses):.3e} exceeds tolerance {tol:.1e} "
@@ -151,10 +163,25 @@ def solve_spectrum(stiffness, mass, k, tol=DEFAULT_TOL):
     )
 
 
-def _relative_residual(stiffness, mdiag, lam, f):
-    """||L f - lam M f|| / ||M f|| for one candidate pair."""
-    mf = mdiag * f
-    return float(np.linalg.norm(stiffness @ f - lam * mf) / np.linalg.norm(mf))
+def mass_gram(a, b, mdiag):
+    """a^T diag(mdiag) b for per-vertex blocks a (V, p) and b (V, q).
+
+    The M-weighted inner products of eigenvector blocks, summed by
+    ``np.einsum`` at its default (unoptimized) setting, which never
+    dispatches to BLAS.
+    """
+    return np.einsum("ip,iq->pq", a, mdiag[:, None] * b)
+
+
+def _relative_residuals(matrix, mdiag, vals, block):
+    """||A f - lam M f|| / ||M f|| for each column f of ``block``.
+
+    One sparse product for the whole block; column norms are reductions.
+    """
+    mf = mdiag[:, None] * block
+    residual = matrix @ block - mf * vals
+    return np.sqrt(np.einsum("ip,ip->p", residual, residual)
+                   / np.einsum("ip,ip->p", mf, mf))
 
 
 def _converged_residual(exc, matrix, mdiag):
@@ -162,15 +189,16 @@ def _converged_residual(exc, matrix, mdiag):
     carries, or None when ARPACK converged none."""
     if exc.eigenvalues is None or not len(exc.eigenvalues):
         return None
-    return max(_relative_residual(matrix, mdiag, lam, f)
-               for lam, f in zip(exc.eigenvalues, exc.eigenvectors.T))
+    return float(_relative_residuals(matrix, mdiag, exc.eigenvalues,
+                                     exc.eigenvectors).max())
 
 
 def _solve_once(stiffness, mass, mdiag, op_inv, k, guards, tol):
     """One shift-invert Lanczos solve for k + 1 + guards pairs.
 
-    Returns pairs 0..k, normalized as ``solve_spectrum`` documents,
-    without checking their residuals; the guard pairs are dropped.
+    Returns ``(vals, block)`` for pairs 0..k, with column i of the
+    (V, k + 1) block normalized as ``solve_spectrum`` documents, without
+    checking residuals; the guard pairs are dropped.
     """
     n = stiffness.shape[0]
     try:
@@ -195,8 +223,6 @@ def _solve_once(stiffness, mass, mdiag, op_inv, k, guards, tol):
 
     order = np.argsort(vals)
     vals = vals[order]
-    vecs = vecs[:, order]
-    area = mdiag.sum()
 
     # The constant mode's eigenvalue is zero up to roundoff that scales
     # with the spectrum; pair 0 then meets the residual contract or not
@@ -206,17 +232,20 @@ def _solve_once(stiffness, mass, mdiag, op_inv, k, guards, tol):
             f"constant mode missing: smallest eigenvalue {vals[0]:.3e} is "
             f"not zero against the largest requested {vals[-1]:.3e}"
         )
+    vals = vals[:k + 1]
+    vals[0] = max(vals[0], 0.0)
 
-    pairs = [Eigenpair(0, float(max(vals[0], 0.0)),
-                       np.full(n, 1.0 / np.sqrt(area)))]
-    for i in range(1, k + 1):
-        f = vecs[:, i].copy()
-        f -= (mdiag @ f) / area
-        f /= np.sqrt(mdiag @ f**2)
-        if f[np.argmax(np.abs(f))] < 0:
-            f = -f
-        pairs.append(Eigenpair(i, float(vals[i]), f))
-    return pairs
+    # Column 0 becomes the exact constant with unit M-norm; columns 1..k
+    # are projected M-orthogonal to it, scaled to unit M-norm, and signed
+    # so that their largest-magnitude entry is positive.
+    block = np.asfortranarray(vecs[:, order[:k + 1]])
+    block[:, 0] = 1.0 / np.sqrt(mdiag.sum())
+    const, modes = block[:, :1], block[:, 1:]
+    modes -= const * mass_gram(const, modes, mdiag)
+    modes /= np.sqrt(np.diagonal(mass_gram(modes, modes, mdiag)))
+    peaks = np.argmax(np.abs(modes), axis=0)
+    modes *= np.where(modes[peaks, np.arange(k)] < 0, -1.0, 1.0)
+    return vals, block
 
 
 def shift_invert(pencil):
@@ -379,19 +408,20 @@ def _peripheral_levels(graph, groups, members):
 def rayleigh_quotient(f, stiffness, mass):
     """(f' L f) / (f' M f); rejects vectors with vanishing M-norm."""
     f = np.asarray(f, dtype=np.float64)
-    den = float(f @ (mass @ f))
+    den = float(np.sum(f * (mass @ f)))
     if den <= 1e-300:
         raise ValueError("vector has zero M-norm")
-    return float(f @ (stiffness @ f)) / den
+    return float(np.sum(f * (stiffness @ f))) / den
 
 
-def track(prev, curr_raw, mass):
+def track(prev, curr_raw, mass_diag):
     """Align freshly solved eigenpairs with a previous snapshot.
 
-    Matches pairs by greedy maximal matching on |<f_prev, M f_curr>| and
-    flips signs so each matched overlap is positive.  The returned list
-    is ordered by the previous snapshot's indices, so eigenbranches keep
-    their identity through near-degenerate crossings.
+    Matches pairs by greedy maximal matching on |<f_prev, M f_curr>|,
+    with M the current mass diagonal ``mass_diag``, and flips signs so
+    each matched overlap is positive.  The returned list is ordered by
+    the previous snapshot's indices, so eigenbranches keep their
+    identity through near-degenerate crossings.
 
     Returns
     -------
@@ -405,8 +435,7 @@ def track(prev, curr_raw, mass):
     n_pairs = len(curr_raw)
     basis_prev = np.column_stack([p.f for p in prev.eigenpairs])
     basis_curr = np.column_stack([p.f for p in curr_raw])
-    mdiag = np.asarray(mass.diagonal(), dtype=np.float64)
-    overlap = basis_prev.T @ (basis_curr * mdiag[:, None])
+    overlap = mass_gram(basis_prev, basis_curr, mass_diag)
     score = np.abs(overlap)
 
     match = np.full(n_pairs, -1)

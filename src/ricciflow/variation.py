@@ -27,6 +27,7 @@ from .spectral import (
     EigenSolverError,
     _converged_residual,
     eigenvalue_clusters,
+    mass_gram,
     shift_invert,
 )
 
@@ -103,9 +104,8 @@ def _procrustes_aligned_block(block, target, mdiag):
     alignment removes that arbitrariness; the diagonal identities
     checked downstream are invariant under the residual gauge freedom.
     """
-    overlap = block.T @ (mdiag[:, None] * target)
-    u_svd, _, vt_svd = np.linalg.svd(overlap)
-    return block @ (u_svd @ vt_svd)
+    u_svd, _, vt_svd = np.linalg.svd(mass_gram(block, target, mdiag))
+    return np.einsum("ip,pq->iq", block, u_svd @ vt_svd)
 
 
 def integrability_residuals(traj, t_index, eigen_index, allow_cluster=False):
@@ -148,12 +148,12 @@ def integrability_residuals(traj, t_index, eigen_index, allow_cluster=False):
     mesh = traj.mesh
     f_mid = s_mid.eigenpairs[eigen_index].f
     if len(members) > 1:
-        mdiag = mesh.base_vertex_area * np.exp(s_mid.u)
         target = np.column_stack([s_mid.eigenpairs[m].f for m in members])
         sides = []
         for snap in (s_prev, s_next):
             block = np.column_stack([snap.eigenpairs[m].f for m in members])
-            sides.append(_procrustes_aligned_block(block, target, mdiag))
+            sides.append(_procrustes_aligned_block(block, target,
+                                                   s_mid.mass_diag))
         col = members.index(eigen_index)
         f_dot = (sides[1][:, col] - sides[0][:, col]) / (2.0 * h)
     else:
@@ -183,7 +183,7 @@ def perelman_lambda(mesh, snapshot):
     the ``EigenSolverError`` carries the relative residual
     ||A f - mu M f|| / ||M f|| of the pair ARPACK did converge, or None.
     """
-    mdiag = mesh.base_vertex_area * np.exp(snapshot.u)
+    mdiag = snapshot.mass_diag
     pencil = 4.0 * mesh.stiffness + sparse.diags(mdiag * snapshot.R)
     mass = sparse.diags(mdiag)
 
@@ -249,12 +249,11 @@ def relative_error(fd_rate, rhs_rate):
                                          _REL_ERROR_FLOOR)
 
 
-def _cluster_subspace_overlap(mesh, s_a, s_b, members):
+def _cluster_subspace_overlap(s_a, s_b, members):
     """Smallest principal-angle cosine between two cluster eigenspaces."""
-    mdiag = mesh.base_vertex_area * np.exp(s_b.u)
     block_a = np.column_stack([s_a.eigenpairs[m].f for m in members])
     block_b = np.column_stack([s_b.eigenpairs[m].f for m in members])
-    overlap = block_a.T @ (mdiag[:, None] * block_b)
+    overlap = mass_gram(block_a, block_b, s_b.mass_diag)
     return float(np.linalg.svd(overlap, compute_uv=False).min())
 
 
@@ -295,7 +294,7 @@ def variation_report(traj):
                 # Per-vector overlaps jitter inside a degenerate
                 # eigenspace; what tracking preserves is the span.
                 tracking_ok = all(
-                    _cluster_subspace_overlap(mesh, earlier, later, members)
+                    _cluster_subspace_overlap(earlier, later, members)
                     >= TRACKING_OVERLAP_FLOOR
                     for earlier, later in ((s_prev, s_mid), (s_mid, s_next))
                 )

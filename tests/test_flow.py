@@ -14,6 +14,7 @@ from ricciflow.flow import (
     step,
 )
 from ricciflow.mesh import (
+    assemble_mass,
     build_flat_torus,
     build_icosphere,
     scalar_curvature,
@@ -32,7 +33,8 @@ def fake_trajectory(mesh, times):
     for t in times:
         traj.snapshots.append(SpectrumSnapshot(
             t=t, u=np.zeros(mesh.n_vertices), eigenpairs=[],
-            area=1.0, r_avg=0.0, R=np.zeros(mesh.n_vertices)))
+            area=1.0, r_avg=0.0, R=np.zeros(mesh.n_vertices),
+            mass_diag=mesh.base_vertex_area.copy()))
     return traj
 
 
@@ -145,8 +147,9 @@ def test_normalized_flow_conserves_area_and_rounds_out():
 
 
 def test_recorded_curvature_is_that_of_the_recorded_factor():
-    # R is computed once per state and carried onto each snapshot; it
-    # must be exactly the curvature of the snapshot's own u.
+    # R and the mass diagonal are computed once per state and carried
+    # onto each snapshot; they must be exactly those of the snapshot's
+    # own u.
     mesh = build_icosphere(2, 1.0)
     cfg = FlowConfig(mode="normalized", dt_init=1e-3, t_end=0.022,
                      record_every=5, spectrum_k=2)
@@ -156,6 +159,8 @@ def test_recorded_curvature_is_that_of_the_recorded_factor():
     assert len(traj.snapshots) == 6
     for snap in traj.snapshots:
         assert np.array_equal(snap.R, scalar_curvature(mesh, snap.u))
+        assert np.array_equal(snap.mass_diag,
+                              assemble_mass(mesh, snap.u).diagonal())
 
 
 def test_tracking_metadata_on_smooth_run():

@@ -35,12 +35,12 @@ def sphere_pencil(subdivisions=3, radius=1.0):
     return mesh, mesh.stiffness, mass
 
 
-def snapshot_from_pairs(mesh, pairs):
-    values = [p.lam for p in pairs]
+def snapshot_from_pairs(mesh, pairs, u=None):
+    u = np.zeros(mesh.n_vertices) if u is None else u
     return SpectrumSnapshot(
-        t=0.0, u=np.zeros(mesh.n_vertices), eigenpairs=pairs,
-        area=total_area(mesh, np.zeros(mesh.n_vertices)),
+        t=0.0, u=u, eigenpairs=pairs, area=total_area(mesh, u),
         r_avg=0.0, R=np.zeros(mesh.n_vertices),
+        mass_diag=assemble_mass(mesh, u).diagonal(),
     )
 
 
@@ -259,8 +259,7 @@ def test_both_pencils_share_one_ordering(monkeypatch):
     for _ in range(3):
         u = 0.2 * rng.standard_normal(mesh.n_vertices)
         pairs = solve_spectrum(mesh.stiffness, assemble_mass(mesh, u), k=4)
-        snap = snapshot_from_pairs(mesh, pairs)
-        snap.u = u
+        snap = snapshot_from_pairs(mesh, pairs, u)
         snap.R = 1.0 + rng.standard_normal(mesh.n_vertices)
         perelman_lambda(mesh, snap)
     assert calls == [(mesh.n_vertices, mesh.n_vertices)]
@@ -281,13 +280,14 @@ def two_spheres(subdivisions):
                 np.vstack([one.faces, one.faces + one.n_vertices]))
 
 
-ORDERING_MESHES = st.one_of(
+CONNECTED_MESHES = st.one_of(
     st.builds(build_icosphere, st.integers(0, 3), st.just(1.0)),
     st.builds(build_flat_torus, st.integers(3, 20), st.integers(3, 20),
               st.floats(0.5, 2.0), st.floats(0.5, 2.0)),
     st.builds(jittered_icosphere, st.integers(1, 2), st.integers(0, 2**32 - 1)),
-    st.builds(two_spheres, st.integers(0, 2)),
 )
+ORDERING_MESHES = st.one_of(CONNECTED_MESHES,
+                            st.builds(two_spheres, st.integers(0, 2)))
 
 
 @given(mesh=ORDERING_MESHES, k=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
@@ -317,6 +317,63 @@ def test_nested_dissection_operator_properties(mesh, k, seed):
     got = [p.lam for p in solve_spectrum(mesh.stiffness, mass, k)]
     # Zero eigenvalues (one per component) compare on the spectrum's scale.
     assert_allclose(got[1:], ref[1:k + 1], rtol=1e-12, atol=1e-12 * ref[-1])
+
+
+@given(mesh=CONNECTED_MESHES, p=st.integers(1, 8), q=st.integers(1, 8),
+       seed=st.integers(0, 2**32 - 1))
+def test_mass_gram_matches_dense_reference(mesh, p, q, seed):
+    n = mesh.n_vertices
+    rng = np.random.default_rng(seed)
+    mdiag = assemble_mass(mesh, 0.3 * rng.standard_normal(n)).diagonal()
+    a = rng.standard_normal((n, p))
+    b = rng.standard_normal((n, q))
+    reference = a.T @ np.diag(mdiag) @ b
+    # Relative to the magnitude summed in each entry, so entries that
+    # cancel to near zero are held to the same standard.
+    scale = np.abs(a).T @ np.diag(mdiag) @ np.abs(b)
+    gram = spectral.mass_gram(a, b, mdiag)
+    assert gram.shape == (p, q)
+    assert np.all(np.abs(gram - reference) <= 1e-13 * scale)
+
+
+@given(mesh=CONNECTED_MESHES, k=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+def test_block_normalization_and_residuals(mesh, k, seed):
+    n = mesh.n_vertices
+    k = min(k, n - 2)
+    rng = np.random.default_rng(seed)
+    mass = assemble_mass(mesh, 0.3 * rng.standard_normal(n))
+    mdiag = mass.diagonal()
+    real_eigsh = spectral.eigsh
+
+    def contaminated(*args, **kwargs):
+        # Constant offsets, scales and signs that the block normalization
+        # must remove; the offsets alone break the residual contract.
+        vals, vecs = real_eigsh(*args, **kwargs)
+        m = vecs.shape[1]
+        return vals, ((vecs + rng.uniform(-1.0, 1.0, m))
+                      * rng.uniform(0.5, 3.0, m) * rng.choice([-1.0, 1.0], m))
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(spectral, "eigsh", contaminated)
+        pairs = solve_spectrum(mesh.stiffness, mass, k)
+    area = mdiag.sum()
+    for pair in pairs:
+        f = pair.f
+        assert f[np.argmax(np.abs(f))] > 0
+        assert abs(mdiag @ f**2 - 1.0) <= 1e-12
+    for pair in pairs[1:]:
+        assert abs(mdiag @ pair.f) <= 1e-12 * math.sqrt(area)
+
+    # Per-column reference norms, on the solved pairs and on a random
+    # block far from any eigenpair.
+    for vals, block in (
+            (np.array([p.lam for p in pairs]),
+             np.column_stack([p.f for p in pairs])),
+            (rng.standard_normal(k + 1), rng.standard_normal((n, k + 1)))):
+        reference = [relative_residual(mesh.stiffness, mdiag, lam, f)
+                     for lam, f in zip(vals, block.T)]
+        got = spectral._relative_residuals(mesh.stiffness, mdiag, vals, block)
+        assert_allclose(got, reference, rtol=1e-13)
 
 
 def test_solve_spectrum_input_guards():
@@ -381,7 +438,7 @@ def test_track_restores_flipped_signs():
     pairs = solve_spectrum(stiffness, mass, k=4)
     prev = snapshot_from_pairs(mesh, pairs)
     flipped = [Eigenpair(p.index, p.lam, -p.f) for p in pairs]
-    tracked, overlaps = track(prev, flipped, mass)
+    tracked, overlaps = track(prev, flipped, mass.diagonal())
     for original, recovered in zip(pairs, tracked):
         assert np.array_equal(recovered.f, original.f)
     assert_allclose(overlaps, 1.0, rtol=1e-9)
@@ -393,7 +450,7 @@ def test_track_restores_permutation():
     prev = snapshot_from_pairs(mesh, pairs)
     permutation = [3, 0, 4, 1, 2]
     shuffled = [pairs[j] for j in permutation]
-    tracked, _ = track(prev, shuffled, mass)
+    tracked, _ = track(prev, shuffled, mass.diagonal())
     for i, pair in enumerate(tracked):
         assert pair.index == i
         assert pair.lam == pairs[i].lam
@@ -408,7 +465,7 @@ def test_track_reports_lost_branch():
     rogue = solve_spectrum(stiffness, mass, k=8)[8]
     broken = list(pairs)
     broken[2] = rogue
-    _, overlaps = track(prev, broken, mass)
+    _, overlaps = track(prev, broken, mass.diagonal())
     assert overlaps.min() < 0.5
 
 
@@ -417,7 +474,7 @@ def test_track_requires_equal_counts():
     pairs = solve_spectrum(stiffness, mass, k=3)
     prev = snapshot_from_pairs(mesh, pairs)
     with pytest.raises(ValueError, match="count"):
-        track(prev, pairs[:-1], mass)
+        track(prev, pairs[:-1], mass.diagonal())
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,8 @@ def make_snapshot(mesh, u=None, k=6):
     area = total_area(mesh, u)
     return mesh, SpectrumSnapshot(
         t=0.0, u=u, eigenpairs=pairs, area=area,
-        r_avg=integrate(mesh, u, curvature) / area, R=curvature)
+        r_avg=integrate(mesh, u, curvature) / area, R=curvature,
+        mass_diag=mass.diagonal())
 
 
 @pytest.fixture(scope="module")
@@ -134,7 +135,7 @@ def fake_lambda_trajectory(times, lam_rows):
                  for i, lam in enumerate(lams)]
         traj.snapshots.append(SpectrumSnapshot(
             t=t, u=np.zeros(1), eigenpairs=pairs, area=1.0,
-            r_avg=0.0, R=np.zeros(1)))
+            r_avg=0.0, R=np.zeros(1), mass_diag=np.ones(1)))
     return traj
 
 
