@@ -163,7 +163,7 @@ def _base_summary(config, traj):
 
     gb_target = 4.0 * math.pi * chi
     summary["gauss_bonnet_max_abs_error"] = max(
-        abs(integrate(mesh, snap.u, snap.R) - gb_target)
+        abs(integrate(snap.mass_diag, snap.R) - gb_target)
         for snap in traj.snapshots)
 
     if traj.mode == "unnormalized":

@@ -58,15 +58,6 @@ class ExperimentConfig:
     experiment: str = "flow"
 
 
-def _parse_bool(raw):
-    lowered = raw.lower()
-    if lowered in ("true", "yes", "1", "on"):
-        return True
-    if lowered in ("false", "no", "0", "off"):
-        return False
-    raise ValueError(f"expected a boolean, got {raw!r}")
-
-
 def _parse_int(raw):
     try:
         return int(raw, 10)

@@ -6,14 +6,19 @@ g(t) = e^u g0.  The unnormalized flow is du/dt = -R; the normalized
 flow du/dt = r - R holds the total area fixed, with r the
 area-averaged scalar curvature.  Time stepping is classical RK4.  Each
 state computes its curvature R once, and that R serves as the first RK4
-stage, the stop checks and the recorded snapshot.
+stage, the stop checks and the recorded snapshot; its vertex areas
+(the lumped mass diagonal) likewise serve the area, r and the recorded
+spectrum.
 """
 
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
+from scipy import sparse
 
-from .mesh import assemble_mass, integrate, scalar_curvature, total_area
+from .mesh import scalar_curvature
 from .spectral import (
     TRACKING_OVERLAP_FLOOR,
     EigenSolverError,
@@ -40,8 +45,11 @@ class FlowBlowUpError(RuntimeError):
 class ConformalState:
     """Flow state: mesh, per-vertex log conformal factor, time.
 
-    ``curvature`` is the scalar curvature of e^u g0, computed once when
-    the state is built; ``u`` must not be modified in place afterwards.
+    ``curvature`` is the scalar curvature of e^u g0, computed (and u
+    validated) once when the state is built.  ``mass_diag``, the vertex
+    areas base_vertex_area * e^u, is computed on first use; ``area`` and
+    the area-averaged curvature ``r_avg`` read it.  ``u`` must not be
+    modified in place afterwards.
     """
 
     mesh: object
@@ -51,15 +59,20 @@ class ConformalState:
 
     def __post_init__(self):
         self.u = np.asarray(self.u, dtype=np.float64)
-        if self.u.shape != (self.mesh.n_vertices,):
-            raise ValueError("u must be a per-vertex array")
-        if not np.all(np.isfinite(self.u)):
-            raise ValueError("conformal factor must be finite")
         self.curvature = scalar_curvature(self.mesh, self.u)
 
-    @property
+    @cached_property
+    def mass_diag(self):
+        return self.mesh.base_vertex_area * np.exp(self.u)
+
+    @cached_property
     def area(self):
-        return total_area(self.mesh, self.u)
+        return float(self.mass_diag.sum())
+
+    @property
+    def r_avg(self):
+        total = np.einsum("i,i->", self.curvature, self.mass_diag)
+        return float(total) / self.area
 
 
 @dataclass
@@ -86,6 +99,11 @@ class FlowConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
+        for name in ("dt_init", "t_end", "curvature_cap", "area_floor",
+                     "solver_tol", "stop_when_round"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite")
         if self.dt_init <= 0 or self.t_end <= 0:
             raise ValueError("dt_init and t_end must be positive")
         if not 0 < self.cfl_safety <= 1:
@@ -128,20 +146,18 @@ class SpectrumTrajectory:
         return np.array([s.t for s in self.snapshots])
 
 
-def _flow_rhs(mesh, u, curvature, mode):
+def _velocity(state, mode):
     if mode == "normalized":
-        weights = mesh.base_vertex_area * np.exp(u)
-        r_avg = float(curvature @ weights) / float(weights.sum())
-        return r_avg - curvature
-    return -curvature
+        return state.r_avg - state.curvature
+    return -state.curvature
 
 
 def step(state, cfg, dt):
     """Advance one classical RK4 step of length dt.
 
-    The first stage reuses ``state.curvature``; the other three stages
-    evaluate the curvature (and, in normalized mode, the average
-    curvature) of their own intermediate factor.
+    The first stage reads ``state``; the other three stages build a
+    state for their own intermediate factor.  A non-finite stage or
+    result raises ``FlowBlowUpError`` carrying ``state``.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -149,45 +165,42 @@ def step(state, cfg, dt):
     u = state.u
 
     def stage(v):
-        return _flow_rhs(mesh, v, scalar_curvature(mesh, v), cfg.mode)
+        return _velocity(ConformalState(mesh, v), cfg.mode)
 
-    k1 = _flow_rhs(mesh, u, state.curvature, cfg.mode)
-    k2 = stage(u + 0.5 * dt * k1)
-    k3 = stage(u + 0.5 * dt * k2)
-    k4 = stage(u + dt * k3)
-    u_new = u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-    if not np.all(np.isfinite(u_new)):
+    k1 = _velocity(state, cfg.mode)
+    try:
+        k2 = stage(u + 0.5 * dt * k1)
+        k3 = stage(u + 0.5 * dt * k2)
+        k4 = stage(u + dt * k3)
+        u_new = u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        return ConformalState(mesh, u_new, state.t + dt)
+    except ValueError as exc:
         raise FlowBlowUpError(
-            f"non-finite conformal factor after step at t={state.t:.6g}",
+            f"non-finite conformal factor in step at t={state.t:.6g}",
             last_state=state,
-        )
-    return ConformalState(mesh, u_new, state.t + dt)
+        ) from exc
 
 
 def _record(state, cfg, prev_snapshot):
-    mesh = state.mesh
-    mass = assemble_mass(mesh, state.u)
-    mass_diag = mass.diagonal()
-    raw = solve_spectrum(mesh.stiffness, mass, cfg.spectrum_k, cfg.solver_tol)
+    raw = solve_spectrum(state.mesh.stiffness, sparse.diags(state.mass_diag),
+                         cfg.spectrum_k, cfg.solver_tol)
     if prev_snapshot is None:
         pairs, overlaps = raw, np.ones(len(raw))
     else:
-        pairs, overlaps = track(prev_snapshot, raw, mass_diag)
+        pairs, overlaps = track(prev_snapshot, raw, state.mass_diag)
     warnings = [
         f"tracking loss at index {i}: overlap {overlaps[i]:.3f}"
         for i in range(len(pairs))
         if overlaps[i] < TRACKING_OVERLAP_FLOOR
     ]
-    area = state.area
     return SpectrumSnapshot(
         t=state.t,
         u=state.u.copy(),
         eigenpairs=pairs,
-        area=area,
-        r_avg=integrate(mesh, state.u, state.curvature) / area,
+        area=state.area,
+        r_avg=state.r_avg,
         R=state.curvature,
-        mass_diag=mass_diag,
+        mass_diag=state.mass_diag,
         overlaps=overlaps,
         tracking_warnings=warnings,
     )

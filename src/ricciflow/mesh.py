@@ -231,15 +231,18 @@ def scalar_curvature(mesh, u):
     return 2.0 * np.exp(-u) * (mesh.base_curvature + 0.5 * lap0_u)
 
 
-def integrate(mesh, u, field):
-    """Integrate a vertex field against the area element of e^u g0."""
+def integrate(mass_diag, field):
+    """Integrate a vertex field against the vertex areas ``mass_diag``.
+
+    ``mass_diag`` is the lumped mass diagonal base_vertex_area * e^u
+    that a flow state or snapshot carries for its metric e^u g0.
+    """
     field = np.asarray(field, dtype=np.float64)
-    if field.shape != (mesh.n_vertices,):
+    if field.shape != mass_diag.shape:
         raise ValueError("field must be a per-vertex array")
     if not np.all(np.isfinite(field)):
         raise ValueError("field must be finite")
-    u = np.asarray(u, dtype=np.float64)
-    return float(np.sum(field * mesh.base_vertex_area * np.exp(u)))
+    return float(np.sum(field * mass_diag))
 
 
 def total_area(mesh, u):

@@ -203,17 +203,6 @@ def homogeneous_rate(space, eigen_index):
     return 2.0 * space.einstein_constant * lam
 
 
-def homogeneous_rate_normalized(space, eigen_index):
-    """Normalized-flow rate -(2/n) R lambda + 2 c lambda; identically zero.
-
-    With R = n c the correction cancels the homogeneous rate, matching
-    the fact that the normalized flow fixes Einstein metrics.
-    """
-    lam = exact_spectrum(space, eigen_index + 1).eigenvalue(eigen_index)
-    return (-2.0 / space.dim) * space.scalar_curvature * lam \
-        + 2.0 * space.einstein_constant * lam
-
-
 def pinching_lower_bound(space):
     """Curvature pinching bound lambda_1 >= (3/2) eps R on the 3-sphere.
 

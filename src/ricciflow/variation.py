@@ -10,7 +10,8 @@ differences of the recorded eigenvalue branches, checks the
 normalization-derived integrability conditions, and exposes the
 curvature-shifted pencil eigenvalue 4L + M diag(R) whose smallest
 eigenvalue is nondecreasing along the unnormalized flow.  All of them
-read the curvature R that each snapshot carries.
+read the curvature R and the measure dmu (``mass_diag``) that each
+snapshot carries.
 """
 
 import math
@@ -46,8 +47,8 @@ def _require_nonconstant(pair):
                          "(index >= 1)")
 
 
-def _check_normalization(mesh, snapshot, pair):
-    norm = integrate(mesh, snapshot.u, pair.f**2)
+def _check_normalization(snapshot, pair):
+    norm = integrate(snapshot.mass_diag, pair.f**2)
     if abs(norm - 1.0) > NORMALIZATION_SLACK:
         raise ValueError(
             f"eigenfunction M-norm is {norm:.9f}, off unit by more than "
@@ -55,19 +56,16 @@ def _check_normalization(mesh, snapshot, pair):
         )
 
 
-def rhs_unnormalized_surface(mesh, snapshot, pair):
+def rhs_unnormalized_surface(snapshot, pair):
     """Surface eigenvalue rate lambda * int f^2 R dmu (unnormalized flow)."""
     _require_nonconstant(pair)
-    _check_normalization(mesh, snapshot, pair)
-    return pair.lam * integrate(mesh, snapshot.u, pair.f**2 * snapshot.R)
+    _check_normalization(snapshot, pair)
+    return pair.lam * integrate(snapshot.mass_diag, pair.f**2 * snapshot.R)
 
 
-def rhs_normalized_surface(mesh, snapshot, pair):
+def rhs_normalized_surface(snapshot, pair):
     """Surface eigenvalue rate -r*lambda + lambda * int f^2 R dmu."""
-    _require_nonconstant(pair)
-    _check_normalization(mesh, snapshot, pair)
-    weighted = pair.lam * integrate(mesh, snapshot.u, pair.f**2 * snapshot.R)
-    return -snapshot.r_avg * pair.lam + weighted
+    return rhs_unnormalized_surface(snapshot, pair) - snapshot.r_avg * pair.lam
 
 
 def finite_difference_rate(traj, t_index, members):
@@ -145,7 +143,6 @@ def integrability_residuals(traj, t_index, eigen_index, allow_cluster=False):
                 )
             members = tuple(cluster)
 
-    mesh = traj.mesh
     f_mid = s_mid.eigenpairs[eigen_index].f
     if len(members) > 1:
         target = np.column_stack([s_mid.eigenpairs[m].f for m in members])
@@ -160,12 +157,11 @@ def integrability_residuals(traj, t_index, eigen_index, allow_cluster=False):
         f_dot = (s_next.eigenpairs[eigen_index].f
                  - s_prev.eigenpairs[eigen_index].f) / (2.0 * h)
 
-    res_first = abs(
-        integrate(mesh, s_mid.u, f_dot)
-        - integrate(mesh, s_mid.u, f_mid * s_mid.R)
-    )
-    f2r = integrate(mesh, s_mid.u, f_mid**2 * s_mid.R)
-    ffdot = integrate(mesh, s_mid.u, f_mid * f_dot)
+    mdiag = s_mid.mass_diag
+    res_first = abs(integrate(mdiag, f_dot)
+                    - integrate(mdiag, f_mid * s_mid.R))
+    f2r = integrate(mdiag, f_mid**2 * s_mid.R)
+    ffdot = integrate(mdiag, f_mid * f_dot)
     if traj.mode == "normalized":
         res_second = abs(2.0 * ffdot - f2r + s_mid.r_avg)
     else:
@@ -271,7 +267,6 @@ def variation_report(traj):
         rhs_fn = rhs_normalized_surface
     else:
         rhs_fn = rhs_unnormalized_surface
-    mesh = traj.mesh
 
     rows = []
     for t_index in range(1, len(traj.snapshots) - 1):
@@ -288,7 +283,7 @@ def variation_report(traj):
             members = tuple(cluster)
             is_cluster = len(members) > 1
             fd = finite_difference_rate(traj, t_index, members)
-            rhs = float(np.mean([rhs_fn(mesh, s_mid, s_mid.eigenpairs[m])
+            rhs = float(np.mean([rhs_fn(s_mid, s_mid.eigenpairs[m])
                                  for m in members]))
             if is_cluster:
                 # Per-vector overlaps jitter inside a degenerate

@@ -1,5 +1,6 @@
 import pytest
 
+from ricciflow.cli import main
 from ricciflow.config import (
     ConfigError,
     ExperimentConfig,
@@ -7,6 +8,7 @@ from ricciflow.config import (
     PerturbationSpec,
     parse_config,
 )
+from ricciflow.flow import FlowConfig
 
 MINIMAL = "[geometry]\nkind = icosphere\n"
 
@@ -194,6 +196,23 @@ def test_flow_values_validated_by_driver():
     assert "positive" in str(err)
     err = error_from(MINIMAL + "[flow]\nspectrum_k = 0\n")
     assert "spectrum_k" in str(err)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("key", ["dt_init", "t_end", "curvature_cap",
+                                 "area_floor", "solver_tol",
+                                 "stop_when_round"])
+def test_nonfinite_flow_values_rejected(key, value, tmp_path, capsys):
+    with pytest.raises(ValueError, match=f"{key} must be finite"):
+        FlowConfig(**{key: float(value)})
+    text = MINIMAL + f"[flow]\n{key} = {value}\n"
+    assert f"{key} must be finite" in str(error_from(text))
+    config_path = tmp_path / "exp.cfg"
+    config_path.write_text(text)
+    assert main(["flow", "--config", str(config_path),
+                 "--out", str(tmp_path / "run")]) == 3
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 def test_bad_experiment_name():

@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 
 from ricciflow.flow import (
     ConformalState,
+    FlowBlowUpError,
     FlowConfig,
     SpectrumTrajectory,
     run,
@@ -147,9 +148,9 @@ def test_normalized_flow_conserves_area_and_rounds_out():
 
 
 def test_recorded_curvature_is_that_of_the_recorded_factor():
-    # R and the mass diagonal are computed once per state and carried
-    # onto each snapshot; they must be exactly those of the snapshot's
-    # own u.
+    # R, the mass diagonal, the area and r are computed once per state
+    # and carried onto each snapshot; they must be those of the
+    # snapshot's own u.
     mesh = build_icosphere(2, 1.0)
     cfg = FlowConfig(mode="normalized", dt_init=1e-3, t_end=0.022,
                      record_every=5, spectrum_k=2)
@@ -161,6 +162,42 @@ def test_recorded_curvature_is_that_of_the_recorded_factor():
         assert np.array_equal(snap.R, scalar_curvature(mesh, snap.u))
         assert np.array_equal(snap.mass_diag,
                               assemble_mass(mesh, snap.u).diagonal())
+        assert snap.area == total_area(mesh, snap.u)
+        weights = mesh.base_vertex_area * np.exp(snap.u)
+        area = float(np.sum(weights))
+        r_avg = float(np.sum(snap.R * weights)) / area
+        # Scaled by max|R| because r is 0 on tori.
+        assert abs(snap.r_avg - r_avg) <= 1e-13 * np.abs(snap.R).max()
+
+
+def _explicit_rk4_step(mesh, u, dt, mode):
+    # Independent RK4 with the velocity written out from u alone.
+    def velocity(v):
+        curvature = scalar_curvature(mesh, v)
+        if mode == "normalized":
+            weights = mesh.base_vertex_area * np.exp(v)
+            r_avg = float(curvature @ weights) / float(weights.sum())
+            return r_avg - curvature
+        return -curvature
+
+    k1 = velocity(u)
+    k2 = velocity(u + 0.5 * dt * k1)
+    k3 = velocity(u + 0.5 * dt * k2)
+    k4 = velocity(u + dt * k3)
+    return u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+@pytest.mark.parametrize("mode", ["normalized", "unnormalized"])
+def test_step_matches_explicit_rk4(mode):
+    mesh = build_icosphere(2, 1.0)
+    u0 = sphere_bump(mesh, amplitude=0.3)
+    state = ConformalState(mesh, u0, t=0.25)
+    stepped = step(state, FlowConfig(mode=mode), 2e-3)
+    assert stepped.t == 0.25 + 2e-3
+    assert_allclose(stepped.u, _explicit_rk4_step(mesh, u0, 2e-3, mode),
+                    rtol=0, atol=1e-12)
+    assert np.array_equal(stepped.curvature,
+                          scalar_curvature(mesh, stepped.u))
 
 
 def test_tracking_metadata_on_smooth_run():
@@ -235,15 +272,30 @@ def test_unstable_run_returns_partial_trajectory():
 
 def test_exploding_step_hits_finiteness_guard():
     # When an RK4 stage overflows, the curvature evaluation rejects the
-    # non-finite intermediate factor.
+    # non-finite intermediate factor and the step reports a blow-up.
     mesh = build_flat_torus(8, 8, 1.0, 1.0)
     u0 = np.full(mesh.n_vertices, -200.0)
     u0[17] = -100.0
     state = ConformalState(mesh, u0)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(FlowBlowUpError, match="finite") as excinfo:
             step(state, FlowConfig(), 1e-3)
+    assert excinfo.value.last_state is state
+
+
+def test_nonfinite_normalized_stage_is_a_blowup():
+    # With a spike and a step far beyond the stability limit, a middle
+    # RK4 stage goes non-finite; that is a blow-up, not a bad argument.
+    mesh = build_icosphere(3, 1.0)
+    u0 = np.zeros(mesh.n_vertices)
+    u0[0] = 5.0
+    state = ConformalState(mesh, u0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(FlowBlowUpError, match="finite") as excinfo:
+            step(state, FlowConfig(mode="normalized"), 1.0)
+    assert excinfo.value.last_state is state
 
 
 def test_cfl_limiter_shrinks_steps():

@@ -12,7 +12,6 @@ from ricciflow.modelspaces import (
     exact_spectrum,
     flat_torus,
     homogeneous_rate,
-    homogeneous_rate_normalized,
     pinching_lower_bound,
     round_sphere,
     soliton_rate,
@@ -191,14 +190,6 @@ def test_homogeneous_rates():
     assert_allclose(homogeneous_rate(round_sphere(2, 1.0), 1), 4.0)
     assert_allclose(homogeneous_rate(round_sphere(3, 1.0), 1), 12.0)
     assert homogeneous_rate(flat_torus(np.eye(2)), 1) == 0.0
-
-
-def test_normalized_rates_vanish_on_einstein_spaces():
-    spaces = [round_sphere(2, 1.0), round_sphere(3, 2.0),
-              round_sphere(5, 1.0), flat_torus(np.eye(3))]
-    for space in spaces:
-        for index in (1, 2):
-            assert abs(homogeneous_rate_normalized(space, index)) < 1e-13
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,7 @@ def make_snapshot(mesh, u=None, k=6):
     area = total_area(mesh, u)
     return mesh, SpectrumSnapshot(
         t=0.0, u=u, eigenpairs=pairs, area=area,
-        r_avg=integrate(mesh, u, curvature) / area, R=curvature,
+        r_avg=integrate(mass.diagonal(), curvature) / area, R=curvature,
         mass_diag=mass.diagonal())
 
 
@@ -89,39 +89,39 @@ def test_round_sphere_rate_is_twice_lambda1(sphere_snapshot):
     pair = snap.eigenpairs[1]
     assert abs(pair.lam - 2.0) < 0.02
     curvature = scalar_curvature(mesh, snap.u)
-    f2r = integrate(mesh, snap.u, pair.f**2 * curvature)
+    f2r = integrate(snap.mass_diag, pair.f**2 * curvature)
     assert abs(f2r - 2.0) < 0.04
-    assert abs(rhs_unnormalized_surface(mesh, snap, pair) - 4.0) < 0.08
+    assert abs(rhs_unnormalized_surface(snap, pair) - 4.0) < 0.08
 
 
 def test_round_sphere_normalized_rate_vanishes(sphere_snapshot):
     # The normalized flow fixes the round sphere, so every eigenvalue
     # branch is stationary: -r*lambda cancels the surface integral.
-    mesh, snap = sphere_snapshot
+    _, snap = sphere_snapshot
     for index in (1, 2, 3):
         pair = snap.eigenpairs[index]
-        assert abs(rhs_normalized_surface(mesh, snap, pair)) < 1e-3
+        assert abs(rhs_normalized_surface(snap, pair)) < 1e-3
 
 
 def test_flat_torus_rates_vanish(torus_snapshot):
-    mesh, snap = torus_snapshot
+    _, snap = torus_snapshot
     for index in (1, 2):
         pair = snap.eigenpairs[index]
-        assert abs(rhs_unnormalized_surface(mesh, snap, pair)) < 1e-9
-        assert abs(rhs_normalized_surface(mesh, snap, pair)) < 1e-9
+        assert abs(rhs_unnormalized_surface(snap, pair)) < 1e-9
+        assert abs(rhs_normalized_surface(snap, pair)) < 1e-9
 
 
 def test_rate_inputs_are_validated(sphere_snapshot):
-    mesh, snap = sphere_snapshot
+    _, snap = sphere_snapshot
     constant = snap.eigenpairs[0]
     for fn in (rhs_unnormalized_surface, rhs_normalized_surface):
         with pytest.raises(ValueError, match="nonconstant"):
-            fn(mesh, snap, constant)
+            fn(snap, constant)
     pair = snap.eigenpairs[1]
     scaled = Eigenpair(index=pair.index, lam=pair.lam, f=1.01 * pair.f)
     for fn in (rhs_unnormalized_surface, rhs_normalized_surface):
         with pytest.raises(ValueError, match="M-norm"):
-            fn(mesh, snap, scaled)
+            fn(snap, scaled)
 
 
 # ---------------------------------------------------------------------------
