@@ -198,7 +198,8 @@ def _base_summary(config, traj):
     perelman_seq = []
     for snap in traj.snapshots:
         try:
-            perelman_seq.append(variation.perelman_lambda(mesh, snap))
+            perelman_seq.append(variation.perelman_lambda(
+                mesh, snap, config.flow.solver_tol))
         except EigenSolverError as exc:
             summary.setdefault("failure", {
                 "t": snap.t, "message": str(exc),
@@ -271,6 +272,10 @@ def _conjecture_summary(traj):
 def _validate_experiment(config, mesh):
     experiment = config.experiment
     mode = config.flow.mode
+    k = config.flow.spectrum_k
+    if k + 2 > mesh.n_vertices:
+        raise ConfigError(f"spectrum_k = {k} needs at least {k + 2} "
+                          f"vertices; the mesh has {mesh.n_vertices}")
     if experiment == "soliton":
         if config.geometry.kind != "icosphere":
             raise ConfigError("the soliton experiment needs an icosphere "

@@ -287,9 +287,17 @@ def run(initial, cfg):
     return traj
 
 
-def _check_uniform_spacing(t_prev, t_mid, t_next):
-    h1 = t_mid - t_prev
-    h2 = t_next - t_mid
+def central_window(traj, t_index):
+    """``(s_prev, s_mid, s_next, h)`` around an interior recorded time.
+
+    Central differences need the neighbors of ``t_index`` at one equal
+    spacing ``h``; anything else is a ``ValueError``.
+    """
+    if t_index < 1 or t_index > len(traj.snapshots) - 2:
+        raise ValueError("t_index must be interior to the recorded range")
+    s_prev, s_mid, s_next = traj.snapshots[t_index - 1:t_index + 2]
+    h1 = s_mid.t - s_prev.t
+    h2 = s_next.t - s_mid.t
     if h1 <= 0 or h2 <= 0:
         raise ValueError("snapshot times must be strictly increasing")
     if abs(h1 - h2) > 1e-9 * max(h1, h2):
@@ -297,7 +305,7 @@ def _check_uniform_spacing(t_prev, t_mid, t_next):
             f"recording spacing is not uniform ({h1:.3e} vs {h2:.3e}); "
             "central differences need equal intervals"
         )
-    return 0.5 * (h1 + h2)
+    return s_prev, s_mid, s_next, 0.5 * (h1 + h2)
 
 
 def scalar_curvature_evolution_residual(traj, t_index):
@@ -309,13 +317,7 @@ def scalar_curvature_evolution_residual(traj, t_index):
     Delta_g R = -(L R) / (base_vertex_area * e^u).  Returns the
     per-vertex residual array; it vanishes to O(h^2) on exact flows.
     """
-    if t_index < 1 or t_index > len(traj.snapshots) - 2:
-        raise ValueError("t_index must be interior to the recorded range")
-    s_prev = traj.snapshots[t_index - 1]
-    s_mid = traj.snapshots[t_index]
-    s_next = traj.snapshots[t_index + 1]
-    h = _check_uniform_spacing(s_prev.t, s_mid.t, s_next.t)
-
+    s_prev, s_mid, s_next, h = central_window(traj, t_index)
     mesh = traj.mesh
     drdt = (s_next.R - s_prev.R) / (2.0 * h)
     laplace_r = -(mesh.stiffness @ s_mid.R) / s_mid.mass_diag

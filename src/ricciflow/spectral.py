@@ -3,9 +3,10 @@
 Solves L f = lambda M f for the smallest eigenvalues of the cotangent
 stiffness / lumped mass pencil via shift-inverted Lanczos iteration, and
 keeps eigenbranch identities consistent between nearby metrics by
-overlap matching.  The shift-invert operator, shared with the Perelman
-pencil in ``variation``, factors the shifted pencil once per solve in a
-nested-dissection order that is computed once per sparsity pattern.
+overlap matching.  The Perelman pencil in ``variation`` goes through the
+same Lanczos call (``lowest_pairs``) and shift-invert operator, which
+factors the shifted pencil once per solve in a nested-dissection order
+that is computed once per sparsity pattern.
 
 Products of per-vertex eigenvector blocks are elementwise reductions
 (``mass_gram``, ``_relative_residuals``), never BLAS calls: a length-V
@@ -90,10 +91,10 @@ class SpectrumSnapshot:
         return float(self.R.max())
 
 
-def _start_vector(n):
+def _start_vector(n, seed=_V0_SEED):
     # Fixed pseudo-random start makes repeated solves bit-identical and
     # avoids seeding Lanczos with the constant eigenvector.
-    return np.random.default_rng(_V0_SEED).standard_normal(n)
+    return np.random.default_rng(seed).standard_normal(n)
 
 
 def solve_spectrum(stiffness, mass, k, tol=DEFAULT_TOL):
@@ -147,8 +148,7 @@ def solve_spectrum(stiffness, mass, k, tol=DEFAULT_TOL):
     for guards in _GUARD_PAIRS:
         if k + 1 + guards >= n:
             break
-        vals, block = _solve_once(stiffness, mass, mdiag, op_inv, k, guards,
-                                  tol)
+        vals, block = _solve_once(stiffness, mdiag, op_inv, k, guards, tol)
         worst = float(_relative_residuals(stiffness, mdiag, vals, block).max())
         if worst <= tol:
             # Each pair owns its vector: columns viewing one shared block
@@ -184,45 +184,45 @@ def _relative_residuals(matrix, mdiag, vals, block):
                    / np.einsum("ip,ip->p", mf, mf))
 
 
-def _converged_residual(exc, matrix, mdiag):
-    """Worst relative residual of the pairs an ``ArpackNoConvergence``
-    carries, or None when ARPACK converged none."""
-    if exc.eigenvalues is None or not len(exc.eigenvalues):
-        return None
-    return float(_relative_residuals(matrix, mdiag, exc.eigenvalues,
-                                     exc.eigenvectors).max())
+def lowest_pairs(pencil, mdiag, sigma, op_inv, nev, seed, what):
+    """The ``nev`` eigenpairs of pencil f = lam diag(mdiag) f nearest
+    ``sigma``, by shift-invert Lanczos, as ascending ``(vals, vecs)``.
+
+    ``op_inv`` applies (pencil - sigma M)^-1 (see ``shift_invert``); the
+    caller builds it, so one factorization serves several calls.  The
+    start vector is drawn from ``seed``.  Residuals are not checked
+    here.  On non-convergence the ``EigenSolverError`` carries the
+    worst relative residual of the pairs ARPACK did converge, or None;
+    ``what`` names the pencil in the message.
+    """
+    n = pencil.shape[0]
+    try:
+        vals, vecs = eigsh(pencil, k=nev, M=sparse.diags(mdiag), sigma=sigma,
+                           OPinv=op_inv, which="LM", v0=_start_vector(n, seed),
+                           maxiter=10 * n, tol=0)
+    except ArpackNoConvergence as exc:
+        best = None
+        if exc.eigenvalues is not None and len(exc.eigenvalues):
+            best = float(_relative_residuals(pencil, mdiag, exc.eigenvalues,
+                                             exc.eigenvectors).max())
+        raise EigenSolverError(
+            f"{what}: Lanczos iteration did not converge within {10 * n} "
+            f"iterations ({exc})", best_residual=best) from exc
+    except ArpackError as exc:
+        raise EigenSolverError(f"{what}: eigensolver failure: {exc}") from exc
+    order = np.argsort(vals)
+    return vals[order], vecs[:, order]
 
 
-def _solve_once(stiffness, mass, mdiag, op_inv, k, guards, tol):
+def _solve_once(stiffness, mdiag, op_inv, k, guards, tol):
     """One shift-invert Lanczos solve for k + 1 + guards pairs.
 
     Returns ``(vals, block)`` for pairs 0..k, with column i of the
     (V, k + 1) block normalized as ``solve_spectrum`` documents, without
     checking residuals; the guard pairs are dropped.
     """
-    n = stiffness.shape[0]
-    try:
-        vals, vecs = eigsh(
-            stiffness,
-            k=k + 1 + guards,
-            M=mass,
-            sigma=_SIGMA,
-            OPinv=op_inv,
-            which="LM",
-            v0=_start_vector(n),
-            maxiter=10 * n,
-            tol=0,
-        )
-    except ArpackNoConvergence as exc:
-        raise EigenSolverError(
-            f"Lanczos iteration did not converge within {10 * n} iterations",
-            best_residual=_converged_residual(exc, stiffness, mdiag),
-        ) from exc
-    except ArpackError as exc:
-        raise EigenSolverError(f"eigensolver failure: {exc}") from exc
-
-    order = np.argsort(vals)
-    vals = vals[order]
+    vals, vecs = lowest_pairs(stiffness, mdiag, _SIGMA, op_inv, k + 1 + guards,
+                              _V0_SEED, "Laplace pencil")
 
     # The constant mode's eigenvalue is zero up to roundoff that scales
     # with the spectrum; pair 0 then meets the residual contract or not
@@ -238,7 +238,7 @@ def _solve_once(stiffness, mass, mdiag, op_inv, k, guards, tol):
     # Column 0 becomes the exact constant with unit M-norm; columns 1..k
     # are projected M-orthogonal to it, scaled to unit M-norm, and signed
     # so that their largest-magnitude entry is positive.
-    block = np.asfortranarray(vecs[:, order[:k + 1]])
+    block = np.asfortranarray(vecs[:, :k + 1])
     block[:, 0] = 1.0 / np.sqrt(mdiag.sum())
     const, modes = block[:, :1], block[:, 1:]
     modes -= const * mass_gram(const, modes, mdiag)

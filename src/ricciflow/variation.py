@@ -19,15 +19,16 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, eigsh
 
-from .flow import _check_uniform_spacing
+from .flow import central_window
 from .mesh import integrate
 from .spectral import (
+    DEFAULT_TOL,
     TRACKING_OVERLAP_FLOOR,
     EigenSolverError,
-    _converged_residual,
+    _relative_residuals,
     eigenvalue_clusters,
+    lowest_pairs,
     mass_gram,
     shift_invert,
 )
@@ -75,18 +76,12 @@ def finite_difference_rate(traj, t_index, members):
     differenced through their mean eigenvalue, which is invariant under
     the arbitrary eigenbasis rotations inside a degenerate eigenspace.
     """
-    if t_index < 1 or t_index > len(traj.snapshots) - 2:
-        raise ValueError("t_index must be interior to the recorded range")
+    s_prev, _, s_next, h = central_window(traj, t_index)
     if np.isscalar(members):
         members = (int(members),)
     members = tuple(int(m) for m in members)
     if not members or min(members) < 1:
         raise ValueError("rates are defined for branch indices >= 1")
-
-    s_prev = traj.snapshots[t_index - 1]
-    s_mid = traj.snapshots[t_index]
-    s_next = traj.snapshots[t_index + 1]
-    h = _check_uniform_spacing(s_prev.t, s_mid.t, s_next.t)
 
     lam_prev = np.mean([s_prev.eigenpairs[m].lam for m in members])
     lam_next = np.mean([s_next.eigenpairs[m].lam for m in members])
@@ -123,15 +118,9 @@ def integrability_residuals(traj, t_index, eigen_index, allow_cluster=False):
     smooth-branch gauge for symmetry-forced degeneracies that persist
     along the whole run.
     """
-    if t_index < 1 or t_index > len(traj.snapshots) - 2:
-        raise ValueError("t_index must be interior to the recorded range")
+    s_prev, s_mid, s_next, h = central_window(traj, t_index)
     if eigen_index < 1:
         raise ValueError("integrability applies to nonconstant modes")
-
-    s_prev = traj.snapshots[t_index - 1]
-    s_mid = traj.snapshots[t_index]
-    s_next = traj.snapshots[t_index + 1]
-    h = _check_uniform_spacing(s_prev.t, s_mid.t, s_next.t)
 
     members = (eigen_index,)
     for cluster in eigenvalue_clusters(s_mid.eigenvalues):
@@ -169,44 +158,32 @@ def integrability_residuals(traj, t_index, eigen_index, allow_cluster=False):
     return res_first, res_second
 
 
-def perelman_lambda(mesh, snapshot):
+def perelman_lambda(mesh, snapshot, tol=DEFAULT_TOL):
     """Smallest eigenvalue of the pencil (4L + M diag(R)) f = mu M f.
 
     Discretization of the lowest eigenvalue of -4 Delta + R, which is
     nondecreasing along the unnormalized flow.  R is ``snapshot.R``.
-    The shifted pencil is factored through ``spectral.shift_invert``, so
-    it reuses the Laplace pencil's nested-dissection order.  On failure
-    the ``EigenSolverError`` carries the relative residual
-    ||A f - mu M f|| / ||M f|| of the pair ARPACK did converge, or None.
+    The pencil is solved through ``spectral.lowest_pairs`` and
+    ``spectral.shift_invert``, like the Laplace pencil, whose
+    nested-dissection order it reuses.  The pair must meet the same
+    contract, ||A f - mu M f|| <= tol * ||M f||; otherwise, or when
+    Lanczos does not converge, ``EigenSolverError`` is raised with
+    that relative residual (or None) as ``best_residual``.
     """
     mdiag = snapshot.mass_diag
     pencil = 4.0 * mesh.stiffness + sparse.diags(mdiag * snapshot.R)
-    mass = sparse.diags(mdiag)
 
     # Rayleigh quotient >= min(R), so this shift sits strictly below
     # the whole spectrum and shift-invert targets the bottom eigenvalue.
     sigma = snapshot.R_min - 1.0
-    v0 = np.random.default_rng(_PERELMAN_V0_SEED).standard_normal(mesh.n_vertices)
-    try:
-        vals = eigsh(
-            pencil,
-            k=1,
-            M=mass,
-            sigma=sigma,
-            OPinv=shift_invert(pencil - sigma * mass),
-            which="LM",
-            v0=v0,
-            maxiter=10 * mesh.n_vertices,
-            tol=0,
-            return_eigenvectors=False,
-        )
-    except ArpackNoConvergence as exc:
+    op_inv = shift_invert(pencil - sigma * sparse.diags(mdiag))
+    vals, vecs = lowest_pairs(pencil, mdiag, sigma, op_inv, 1,
+                              _PERELMAN_V0_SEED, "curvature-shifted pencil")
+    worst = float(_relative_residuals(pencil, mdiag, vals, vecs)[0])
+    if worst > tol:
         raise EigenSolverError(
-            f"curvature-shifted pencil solve failed: {exc}",
-            best_residual=_converged_residual(exc, pencil, mdiag)) from exc
-    except ArpackError as exc:
-        raise EigenSolverError(f"curvature-shifted pencil solve failed: {exc}") \
-            from exc
+            f"curvature-shifted pencil: residual {worst:.3e} exceeds "
+            f"tolerance {tol:.1e}", best_residual=worst)
     return float(vals[0])
 
 
@@ -270,11 +247,8 @@ def variation_report(traj):
 
     rows = []
     for t_index in range(1, len(traj.snapshots) - 1):
-        s_prev = traj.snapshots[t_index - 1]
-        s_mid = traj.snapshots[t_index]
-        s_next = traj.snapshots[t_index + 1]
         try:
-            _check_uniform_spacing(s_prev.t, s_mid.t, s_next.t)
+            s_prev, s_mid, s_next, _ = central_window(traj, t_index)
         except ValueError:
             continue
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.sparse.linalg import ArpackNoConvergence
 
-from ricciflow import variation
+from ricciflow import spectral
 from ricciflow.cli import (
     build_geometry,
     conformal_bump,
@@ -242,10 +242,12 @@ def test_solver_failure_flushes_partial_outputs(tmp_path, capsys):
 
 def test_perelman_failure_flushes_partial_outputs(tmp_path, capsys,
                                                  monkeypatch):
-    real_eigsh = variation.eigsh
+    real_eigsh = spectral.eigsh
     expected = []
 
     def no_convergence(pencil, **kwargs):
+        if kwargs["k"] != 1:  # a Laplace solve asks for spectrum_k + 1 pairs
+            return real_eigsh(pencil, **kwargs)
         vals, vecs = real_eigsh(pencil, **dict(kwargs, return_eigenvectors=True))
         f = vecs[:, 0] + 1e-3 * np.random.default_rng(0).standard_normal(
             len(vecs))
@@ -254,7 +256,7 @@ def test_perelman_failure_flushes_partial_outputs(tmp_path, capsys,
                         / np.linalg.norm(mf))
         raise ArpackNoConvergence("no convergence", vals, f[:, None])
 
-    monkeypatch.setattr(variation, "eigsh", no_convergence)
+    monkeypatch.setattr(spectral, "eigsh", no_convergence)
     config = parse_config(TORUS_VERIFY)
     config.output_dir = str(tmp_path / "run")
     assert run_experiment(config, quiet=True) == 2
@@ -329,6 +331,23 @@ def test_main_quiet_suppresses_progress(tmp_path, capsys):
     assert main(["verify", "--config", str(config_path),
                  "--out", str(tmp_path / "q"), "--quiet"]) == 0
     assert capsys.readouterr().out == ""
+
+
+def test_main_rejects_spectrum_k_beyond_the_mesh(tmp_path, capsys):
+    # The icosahedron has 12 vertices; Lanczos needs spectrum_k + 2 <= V.
+    text = (TORUS_VERIFY.replace("kind = flat_torus\nn = 8\nm = 8",
+                                 "kind = icosphere\nsubdivisions = 0")
+            .replace("t_end = 0.01", "t_end = 4e-3"))
+    for k, code in ((11, 3), (10, 0)):
+        config_path = tmp_path / f"k{k}.cfg"
+        config_path.write_text(text.replace("spectrum_k = 6",
+                                            f"spectrum_k = {k}"))
+        out_dir = tmp_path / f"k{k}"
+        assert main(["verify", "--config", str(config_path),
+                     "--out", str(out_dir), "--quiet"]) == code
+        assert out_dir.exists() == (code == 0)
+    assert "config error: spectrum_k = 11 needs at least 13 vertices" in \
+        capsys.readouterr().err
 
 
 def test_main_missing_config_file(tmp_path, capsys):

@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
-from scipy.sparse import identity
+from scipy.linalg import eigh
+from scipy.sparse import diags, identity
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 from scipy.sparse.linalg import norm as sparse_norm
 
@@ -15,6 +16,7 @@ from ricciflow.mesh import (
     assemble_mass,
     build_flat_torus,
     build_icosphere,
+    scalar_curvature,
     total_area,
 )
 from ricciflow.modelspaces import exact_spectrum, flat_torus, round_sphere
@@ -27,6 +29,7 @@ from ricciflow.spectral import (
     solve_spectrum,
     track,
 )
+from ricciflow.variation import perelman_lambda
 
 
 def sphere_pencil(subdivisions=3, radius=1.0):
@@ -243,8 +246,6 @@ def test_guard_retries_reuse_one_factorization(monkeypatch):
 
 
 def test_both_pencils_share_one_ordering(monkeypatch):
-    from ricciflow.variation import perelman_lambda
-
     mesh = build_icosphere(2, 1.0)
     real = spectral.nested_dissection
     calls = []
@@ -384,6 +385,78 @@ def test_solve_spectrum_input_guards():
         solve_spectrum(stiffness, mass, k=11)
     with pytest.raises(ValueError, match="tol"):
         solve_spectrum(stiffness, mass, k=1, tol=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# Perelman pencil 4L + M diag(R), through the same Lanczos path
+
+
+def curvature_snapshot(mesh, u):
+    snap = snapshot_from_pairs(mesh, [], u)
+    snap.R = scalar_curvature(mesh, u)
+    return snap
+
+
+PERELMAN_MESHES = st.one_of(
+    st.builds(build_icosphere, st.integers(0, 2), st.just(1.0)),
+    st.builds(build_flat_torus, st.integers(3, 12), st.integers(3, 12),
+              st.floats(0.5, 2.0), st.floats(0.5, 2.0)),
+    st.builds(jittered_icosphere, st.integers(1, 2), st.integers(0, 2**32 - 1)),
+)
+
+
+@example(mesh=build_flat_torus(6, 6, 1.0, 1.0), amplitude=0.0, seed=0)
+@given(mesh=PERELMAN_MESHES, amplitude=st.sampled_from([0.0, 0.3]),
+       seed=st.integers(0, 2**32 - 1))
+def test_perelman_lambda_is_the_checked_bottom_of_the_pencil(mesh, amplitude,
+                                                             seed):
+    u = amplitude * np.random.default_rng(seed).standard_normal(mesh.n_vertices)
+    snap = curvature_snapshot(mesh, u)
+    mdiag, R = snap.mass_diag, snap.R
+    pencil = 4.0 * mesh.stiffness + diags(mdiag * R)
+    real_eigsh = spectral.eigsh
+    solved = []
+
+    def recording(*args, **kwargs):
+        solved.append(real_eigsh(*args, **kwargs))
+        return solved[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(spectral, "eigsh", recording)
+        mu = perelman_lambda(mesh, snap)
+
+    reference = eigh(pencil.toarray(), np.diag(mdiag), eigvals_only=True,
+                     subset_by_index=[0, 0])[0]
+    # On a flat torus at u = 0, R is 0 and so is mu; its roundoff is on
+    # the scale of the pencil, not of R.
+    assert_allclose(mu, reference, rtol=1e-10,
+                    atol=1e-10 * max(np.abs(R).max(), 1.0))
+    (vals, vecs), = solved
+    assert mu == vals[0]
+    f = vecs[:, 0]
+    assert (np.linalg.norm(pencil @ f - mu * mdiag * f)
+            <= spectral.DEFAULT_TOL * np.linalg.norm(mdiag * f))
+
+
+def test_perelman_residual_miss_is_an_error():
+    mesh = build_icosphere(2, 1.0)
+    snap = curvature_snapshot(mesh, 0.2 * np.random.default_rng(5)
+                              .standard_normal(mesh.n_vertices))
+    real_eigsh = spectral.eigsh
+
+    def perturbed(*args, **kwargs):
+        vals, vecs = real_eigsh(*args, **kwargs)
+        return vals, vecs + 1e-4 * np.random.default_rng(0).standard_normal(
+            vecs.shape)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(spectral, "eigsh", perturbed)
+        with pytest.raises(EigenSolverError, match="^curvature-shifted pencil"
+                           ".*exceeds tolerance") as info:
+            perelman_lambda(mesh, snap)
+    best = info.value.best_residual
+    assert isinstance(best, float)
+    assert best > spectral.DEFAULT_TOL
 
 
 # ---------------------------------------------------------------------------
