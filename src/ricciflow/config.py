@@ -11,6 +11,7 @@ Sections: ``[geometry]`` (required), ``[perturbation]``, ``[flow]``,
 with their line number; every omitted key takes a documented default.
 """
 
+import math
 from dataclasses import dataclass, field
 
 from .flow import MODES, FlowConfig
@@ -200,6 +201,9 @@ def parse_config(text):
 
     pert_values = values["perturbation"]
     perturbation = PerturbationSpec(**pert_values)
+    if not math.isfinite(perturbation.amplitude):
+        raise ConfigError("amplitude must be finite",
+                          line=lines.get(("perturbation", "amplitude")))
     if perturbation.amplitude < 0:
         raise ConfigError("amplitude must be nonnegative",
                           line=lines.get(("perturbation", "amplitude")))

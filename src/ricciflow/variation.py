@@ -25,12 +25,9 @@ from .mesh import integrate
 from .spectral import (
     DEFAULT_TOL,
     TRACKING_OVERLAP_FLOOR,
-    EigenSolverError,
-    _relative_residuals,
+    bottom_pair,
     eigenvalue_clusters,
-    lowest_pairs,
     mass_gram,
-    shift_invert,
 )
 
 NORMALIZATION_SLACK = 1e-6
@@ -163,28 +160,21 @@ def perelman_lambda(mesh, snapshot, tol=DEFAULT_TOL):
 
     Discretization of the lowest eigenvalue of -4 Delta + R, which is
     nondecreasing along the unnormalized flow.  R is ``snapshot.R``.
-    The pencil is solved through ``spectral.lowest_pairs`` and
-    ``spectral.shift_invert``, like the Laplace pencil, whose
-    nested-dissection order it reuses.  The pair must meet the same
-    contract, ||A f - mu M f|| <= tol * ||M f||; otherwise, or when
-    Lanczos does not converge, ``EigenSolverError`` is raised with
-    that relative residual (or None) as ``best_residual``.
+    The pencil is solved by ``spectral.bottom_pair``, whose shift-invert
+    factorization, when it needs one, reuses the nested-dissection order
+    of the Laplace pencil.  The pair must meet the same contract,
+    ||A f - mu M f|| <= tol * ||M f||; otherwise, or when Lanczos does
+    not converge, ``EigenSolverError`` is raised with that relative
+    residual (or None) as ``best_residual``.
     """
     mdiag = snapshot.mass_diag
     pencil = 4.0 * mesh.stiffness + sparse.diags(mdiag * snapshot.R)
 
     # Rayleigh quotient >= min(R), so this shift sits strictly below
     # the whole spectrum and shift-invert targets the bottom eigenvalue.
-    sigma = snapshot.R_min - 1.0
-    op_inv = shift_invert(pencil - sigma * sparse.diags(mdiag))
-    vals, vecs = lowest_pairs(pencil, mdiag, sigma, op_inv, 1,
-                              _PERELMAN_V0_SEED, "curvature-shifted pencil")
-    worst = float(_relative_residuals(pencil, mdiag, vals, vecs)[0])
-    if worst > tol:
-        raise EigenSolverError(
-            f"curvature-shifted pencil: residual {worst:.3e} exceeds "
-            f"tolerance {tol:.1e}", best_residual=worst)
-    return float(vals[0])
+    mu, _ = bottom_pair(pencil, mdiag, snapshot.R_min - 1.0, tol,
+                        _PERELMAN_V0_SEED, "curvature-shifted pencil")
+    return mu
 
 
 def rate_bound_check(fd_rate, lam, dim, tol=1e-9):

@@ -256,6 +256,7 @@ def test_perelman_failure_flushes_partial_outputs(tmp_path, capsys,
                         / np.linalg.norm(mf))
         raise ArpackNoConvergence("no convergence", vals, f[:, None])
 
+    monkeypatch.setattr(spectral, "_lobpcg", lambda *args: None)
     monkeypatch.setattr(spectral, "eigsh", no_convergence)
     config = parse_config(TORUS_VERIFY)
     config.output_dir = str(tmp_path / "run")

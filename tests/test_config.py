@@ -215,6 +215,20 @@ def test_nonfinite_flow_values_rejected(key, value, tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_nonfinite_amplitude_rejected(value, tmp_path, capsys):
+    text = MINIMAL + f"[perturbation]\namplitude = {value}\n"
+    err = error_from(text)
+    assert "amplitude must be finite" in str(err)
+    assert err.line == 4
+    config_path = tmp_path / "exp.cfg"
+    config_path.write_text(text)
+    assert main(["verify", "--config", str(config_path),
+                 "--out", str(tmp_path / "run")]) == 3
+    assert "amplitude must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_bad_experiment_name():
     err = error_from(MINIMAL + "[experiment]\nname = destroy\n")
     assert "experiment must be one of" in str(err)

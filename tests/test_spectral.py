@@ -11,6 +11,9 @@ from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 from scipy.sparse.linalg import norm as sparse_norm
 
 import ricciflow.spectral as spectral
+import ricciflow.variation as variation
+from ricciflow.cli import conformal_bump
+from ricciflow.config import PerturbationSpec
 from ricciflow.mesh import (
     Mesh,
     assemble_mass,
@@ -388,7 +391,7 @@ def test_solve_spectrum_input_guards():
 
 
 # ---------------------------------------------------------------------------
-# Perelman pencil 4L + M diag(R), through the same Lanczos path
+# Perelman pencil 4L + M diag(R): LOBPCG, with Lanczos as its fallback
 
 
 def curvature_snapshot(mesh, u):
@@ -414,15 +417,15 @@ def test_perelman_lambda_is_the_checked_bottom_of_the_pencil(mesh, amplitude,
     snap = curvature_snapshot(mesh, u)
     mdiag, R = snap.mass_diag, snap.R
     pencil = 4.0 * mesh.stiffness + diags(mdiag * R)
-    real_eigsh = spectral.eigsh
+    real_bottom_pair = variation.bottom_pair
     solved = []
 
     def recording(*args, **kwargs):
-        solved.append(real_eigsh(*args, **kwargs))
+        solved.append(real_bottom_pair(*args, **kwargs))
         return solved[-1]
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(spectral, "eigsh", recording)
+        patch.setattr(variation, "bottom_pair", recording)
         mu = perelman_lambda(mesh, snap)
 
     reference = eigh(pencil.toarray(), np.diag(mdiag), eigvals_only=True,
@@ -431,9 +434,8 @@ def test_perelman_lambda_is_the_checked_bottom_of_the_pencil(mesh, amplitude,
     # the scale of the pencil, not of R.
     assert_allclose(mu, reference, rtol=1e-10,
                     atol=1e-10 * max(np.abs(R).max(), 1.0))
-    (vals, vecs), = solved
-    assert mu == vals[0]
-    f = vecs[:, 0]
+    (recorded, f), = solved
+    assert mu == recorded
     assert (np.linalg.norm(pencil @ f - mu * mdiag * f)
             <= spectral.DEFAULT_TOL * np.linalg.norm(mdiag * f))
 
@@ -450,6 +452,7 @@ def test_perelman_residual_miss_is_an_error():
             vecs.shape)
 
     with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(spectral, "_lobpcg", lambda *args: None)
         patch.setattr(spectral, "eigsh", perturbed)
         with pytest.raises(EigenSolverError, match="^curvature-shifted pencil"
                            ".*exceeds tolerance") as info:
@@ -457,6 +460,54 @@ def test_perelman_residual_miss_is_an_error():
     best = info.value.best_residual
     assert isinstance(best, float)
     assert best > spectral.DEFAULT_TOL
+
+
+def counted_lu(monkeypatch):
+    """Patch splu to record factorizations and the solves of each factor."""
+    real_splu = spectral.sparse_linalg.splu
+    counts = {"factorizations": 0, "solves": 0}
+
+    class CountingLU:
+        def __init__(self, lu):
+            self.lu = lu
+
+        def solve(self, rhs):
+            counts["solves"] += 1
+            return self.lu.solve(rhs)
+
+    def counting_splu(*args, **kwargs):
+        counts["factorizations"] += 1
+        return CountingLU(real_splu(*args, **kwargs))
+
+    monkeypatch.setattr(spectral.sparse_linalg, "splu", counting_splu)
+    return counts
+
+
+@pytest.mark.parametrize("mesh", [build_flat_torus(6, 6, 1.0, 1.0),
+                                  build_flat_torus(8, 12, 0.7, 1.9),
+                                  build_flat_torus(5, 17, 2.0, 0.5),
+                                  build_flat_torus(48, 48, 1.0, 1.0)])
+def test_flat_torus_perelman_needs_no_factorization(mesh, monkeypatch):
+    counts = counted_lu(monkeypatch)
+    mu = perelman_lambda(mesh, curvature_snapshot(mesh, np.zeros(
+        mesh.n_vertices)))
+    assert abs(mu) <= 1e-10
+    assert counts == {"factorizations": 0, "solves": 0}
+
+
+@pytest.mark.parametrize("amplitude", [0.1, 0.3])
+@pytest.mark.parametrize("seed", [0, 7, 1009])
+def test_smooth_bump_perelman_takes_few_solves(amplitude, seed, monkeypatch):
+    mesh = build_icosphere(3, 1.0)
+    snap = curvature_snapshot(mesh, conformal_bump(
+        mesh, PerturbationSpec(amplitude=amplitude, mode=2, seed=seed)))
+    counts = counted_lu(monkeypatch)
+    mu = perelman_lambda(mesh, snap)
+    assert counts["factorizations"] == 1
+    assert counts["solves"] <= 8
+
+    monkeypatch.setattr(spectral, "_lobpcg", lambda *args: None)
+    assert_allclose(mu, perelman_lambda(mesh, snap), rtol=1e-12, atol=0)
 
 
 # ---------------------------------------------------------------------------
