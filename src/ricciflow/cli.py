@@ -194,6 +194,9 @@ def _base_summary(config, traj):
     summary["lambda1_area_final"] = lambda1_area[-1]
     summary["lambda1_area_nondecreasing"] = _nondecreasing(
         lambda1_area, MONOTONE_SLACK)
+    if config.experiment == "conjecture":
+        summary["conjecture"] = _conjecture_summary(
+            traj, lambda1_area, summary["lambda1_area_nondecreasing"])
 
     perelman_seq = []
     for snap in traj.snapshots:
@@ -252,15 +255,11 @@ def _soliton_summary(config, traj):
     }
 
 
-def _conjecture_summary(traj):
-    lambda1_area = [
-        _min_positive_eigenvalue(snap) * snap.area for snap in traj.snapshots
-    ]
+def _conjecture_summary(traj, lambda1_area, nondecreasing):
     target = 8.0 * math.pi
     return {
         "lambda1_area_series": lambda1_area,
-        "lambda1_area_nondecreasing": _nondecreasing(lambda1_area,
-                                                     MONOTONE_SLACK),
+        "lambda1_area_nondecreasing": nondecreasing,
         "final_lambda1_area": lambda1_area[-1],
         "target_8pi": target,
         "final_rel_deviation_from_8pi": abs(lambda1_area[-1] - target) / target,
@@ -328,8 +327,6 @@ def run_experiment(config, quiet=False):
         summary["variation"] = _variation_summary(rows)
         if config.experiment == "soliton":
             summary["soliton"] = _soliton_summary(config, traj)
-        if config.experiment == "conjecture":
-            summary["conjecture"] = _conjecture_summary(traj)
 
     write_trajectory_csv(out_dir / "trajectory.csv", traj,
                          config.flow.spectrum_k)

@@ -99,6 +99,8 @@ class Mesh:
         s = 0.5 * (a + b + c)
         heron = s * (s - a) * (s - b) * (s - c)
         self.face_areas = np.sqrt(np.clip(heron, 0.0, None))
+        if not np.all(np.isfinite(self.face_areas)):
+            raise MeshError("face areas are not finite (Heron overflow)")
         tiny = DEGENERATE_AREA_FACTOR * self.face_areas.mean()
         bad = np.nonzero(self.face_areas < tiny)[0]
         if bad.size:

@@ -99,29 +99,28 @@ class SpectrumSnapshot:
 
 
 def _start_vector(n, seed=_V0_SEED):
-    # Fixed pseudo-random start makes repeated solves bit-identical and
-    # avoids seeding Lanczos with the constant eigenvector.
+    # Fixed pseudo-random start makes repeated solves bit-identical.
     return np.random.default_rng(seed).standard_normal(n)
 
 
 def solve_spectrum(stiffness, mass, k, tol=DEFAULT_TOL):
     """Compute eigenpairs 0..k of L f = lambda M f, sorted ascending.
 
-    Index 0 is the constant mode with eigenvalue ~0; it is returned as
-    the exact constant with unit M-norm.  Higher indices are projected
-    M-orthogonal to constants and normalized to unit M-norm.
+    Pair 0 is exactly ``(0.0, c)``, c = 1/sqrt(sum M) the constant with
+    unit M-norm; higher indices are M-orthogonal to c, unit M-norm.
 
-    ``L - sigma M`` is factored once (see ``shift_invert``) and every
-    attempt below reuses that factorization.
+    ``L - sigma M`` is factored once (see ``shift_invert``), and every
+    attempt reuses that factor with c deflated: right-hand sides are
+    projected off M c and solutions M-orthogonally off c.  ARPACK is
+    asked for the k + guards nonconstant pairs only.
 
-    The first attempt asks ARPACK for exactly k + 1 pairs.  When that
-    set ends inside a degenerate cluster (round spheres, flat tori),
-    the cut pair can come back short of the residual contract.  Only
-    then is the pencil solved again with one, then two, guard pairs
-    beyond k (the shift-invert remedy for clustered spectra in the
-    ARPACK Users' Guide); pairs 0..k are kept and checked again.  A
-    guard count is skipped when k + 1 + guards would reach V, since
-    ARPACK needs fewer requested pairs than vertices.
+    The first attempt has no guard pairs.  When its set ends inside a
+    degenerate cluster (round spheres, flat tori), the cut pair can come
+    back short of the residual contract.  Only then is the pencil solved
+    again with one, then two, guard pairs beyond k (the shift-invert
+    remedy for clustered spectra in the ARPACK Users' Guide); pairs 0..k
+    are kept and checked again.  A guard count is skipped when
+    k + 1 + guards would reach V.
 
     Parameters
     ----------
@@ -131,14 +130,15 @@ def solve_spectrum(stiffness, mass, k, tol=DEFAULT_TOL):
         Largest eigenpair index; k + 2 <= V is required by the
         underlying Lanczos factorization.
     tol : float
-        Residual acceptance threshold: each pair must satisfy
-        ||L f - lam M f|| <= tol * ||M f||.  At least 1e-14.
+        Residual acceptance threshold: each pair, pair 0 included, must
+        satisfy ||L f - lam M f|| <= tol * ||M f||.  At least 1e-14.
 
     Raises
     ------
     EigenSolverError
-        On non-convergence within the iteration cap, a missing constant
-        mode, or when every attempt leaves a residual above ``tol``.
+        On non-convergence within the iteration cap, or when every
+        attempt leaves a residual above ``tol`` (at pair 0 for a
+        stiffness that does not annihilate constants).
         ``best_residual`` is the smallest worst-pair residual over the
         attempts, or, on non-convergence, the worst residual among the
         pairs ARPACK did converge.
@@ -150,12 +150,22 @@ def solve_spectrum(stiffness, mass, k, tol=DEFAULT_TOL):
         raise ValueError("tol below 1e-14 is not achievable in double precision")
 
     mdiag = np.asarray(mass.diagonal(), dtype=np.float64)
-    op_inv = shift_invert(stiffness - _SIGMA * mass)
+    area = mdiag.sum()
+    const = np.full((n, 1), 1.0 / np.sqrt(area))
+    factor = shift_invert(stiffness - _SIGMA * mass)
+
+    def deflated_solve(rhs):
+        # P (L - sigma M)^-1 P^T rhs, P x = x - c c^T M x, c c^T = 1/area.
+        rhs = rhs.reshape(n)
+        x = factor.matvec(rhs - mdiag * (np.einsum("i->", rhs) / area))
+        return x - np.einsum("i,i->", mdiag, x) / area
+
+    op_inv = LinearOperator((n, n), matvec=deflated_solve, dtype=np.float64)
     misses = []
     for guards in _GUARD_PAIRS:
         if k + 1 + guards >= n:
             break
-        vals, block = _solve_once(stiffness, mdiag, op_inv, k, guards, tol)
+        vals, block = _solve_once(stiffness, mdiag, op_inv, const, k, guards)
         worst = float(_relative_residuals(stiffness, mdiag, vals, block).max())
         if worst <= tol:
             # Each pair owns its vector: columns viewing one shared block
@@ -302,38 +312,27 @@ def _mass_orthonormal(directions, mdiag):
     return basis
 
 
-def _solve_once(stiffness, mdiag, op_inv, k, guards, tol):
-    """One shift-invert Lanczos solve for k + 1 + guards pairs.
+def _solve_once(stiffness, mdiag, op_inv, const, k, guards):
+    """One shift-invert Lanczos solve for k + guards nonconstant pairs.
 
-    Returns ``(vals, block)`` for pairs 0..k, with column i of the
-    (V, k + 1) block normalized as ``solve_spectrum`` documents, without
-    checking residuals; the guard pairs are dropped.
+    Returns ``(vals, block)`` for pairs 0..k: pair 0 is ``(0.0, const)``
+    (``const`` the (V, 1) constant column that ``op_inv`` deflates), and
+    columns 1..k are normalized as ``solve_spectrum`` documents.
+    Residuals are not checked; the guard pairs are dropped.
     """
-    vals, vecs = lowest_pairs(stiffness, mdiag, _SIGMA, op_inv, k + 1 + guards,
+    vals, vecs = lowest_pairs(stiffness, mdiag, _SIGMA, op_inv, k + guards,
                               _V0_SEED, "Laplace pencil")
 
-    # The constant mode's eigenvalue is zero up to roundoff that scales
-    # with the spectrum; pair 0 then meets the residual contract or not
-    # like every other pair.
-    if vals[0] > tol * max(1.0, vals[-1]):
-        raise EigenSolverError(
-            f"constant mode missing: smallest eigenvalue {vals[0]:.3e} is "
-            f"not zero against the largest requested {vals[-1]:.3e}"
-        )
-    vals = vals[:k + 1]
-    vals[0] = max(vals[0], 0.0)
-
-    # Column 0 becomes the exact constant with unit M-norm; columns 1..k
-    # are projected M-orthogonal to it, scaled to unit M-norm, and signed
-    # so that their largest-magnitude entry is positive.
-    block = np.asfortranarray(vecs[:, :k + 1])
-    block[:, 0] = 1.0 / np.sqrt(mdiag.sum())
-    const, modes = block[:, :1], block[:, 1:]
+    # Columns 1..k are projected M-orthogonal to the constant, scaled to
+    # unit M-norm, and signed so that their largest-magnitude entry is
+    # positive.
+    block = np.asfortranarray(np.hstack([const, vecs[:, :k]]))
+    modes = block[:, 1:]
     modes -= const * mass_gram(const, modes, mdiag)
     modes /= np.sqrt(np.diagonal(mass_gram(modes, modes, mdiag)))
     peaks = np.argmax(np.abs(modes), axis=0)
     modes *= np.where(modes[peaks, np.arange(k)] < 0, -1.0, 1.0)
-    return vals, block
+    return np.concatenate([[0.0], vals[:k]]), block
 
 
 def shift_invert(pencil):
@@ -552,23 +551,23 @@ def track(prev, curr_raw, mass_diag):
     return pairs, overlaps
 
 
-def eigenvalue_clusters(values, rel_gap=CLUSTER_REL_GAP, first_index=1):
-    """Group eigenvalue indices into near-degenerate clusters.
+def eigenvalue_clusters(values):
+    """Group eigenvalue indices 1.. into near-degenerate clusters.
 
-    Consecutive eigenvalues whose relative gap is below ``rel_gap``
-    belong to one cluster.  Index 0 (the constant mode) is excluded by
-    default.
+    Consecutive eigenvalues whose relative gap is below
+    ``CLUSTER_REL_GAP`` belong to one cluster.  Index 0 (the constant
+    mode) is excluded.
     """
     values = np.asarray(values, dtype=np.float64)
     groups = []
     current = None
-    for i in range(first_index, len(values)):
+    for i in range(1, len(values)):
         if current is None:
             current = [i]
         else:
             lo, hi = values[i - 1], values[i]
             scale = max(abs(lo), abs(hi), 1e-300)
-            if (hi - lo) <= rel_gap * scale:
+            if (hi - lo) <= CLUSTER_REL_GAP * scale:
                 current.append(i)
             else:
                 groups.append(current)

@@ -351,6 +351,16 @@ def test_main_rejects_spectrum_k_beyond_the_mesh(tmp_path, capsys):
         capsys.readouterr().err
 
 
+def test_main_rejects_overflowing_geometry(tmp_path, capsys):
+    config_path = tmp_path / "huge.cfg"
+    config_path.write_text(TORUS_VERIFY.replace("m = 8", "m = 8\nl1 = 1e300"))
+    out_dir = tmp_path / "huge"
+    assert main(["verify", "--config", str(config_path),
+                 "--out", str(out_dir), "--quiet"]) == 3
+    assert not out_dir.exists()
+    assert "config error: face areas are not finite" in capsys.readouterr().err
+
+
 def test_main_missing_config_file(tmp_path, capsys):
     code = main(["flow", "--config", str(tmp_path / "nope.cfg")])
     assert code == 3

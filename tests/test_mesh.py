@@ -127,6 +127,13 @@ def test_degenerate_face_error_names_face():
         Mesh(mesh.vertices, mesh.faces, corner_lengths=lengths)
 
 
+def test_overflowing_face_areas_rejected():
+    # Heron's product overflows at these lengths: the areas come out NaN,
+    # which no "area below a fraction of the mean" test can catch.
+    with pytest.raises(MeshError, match="not finite"):
+        build_flat_torus(4, 4, 1e300, 1.0)
+
+
 # ---------------------------------------------------------------------------
 # lumped areas, defects, Euler characteristic
 

@@ -211,14 +211,63 @@ def test_no_convergence_reports_converged_pair_residuals(monkeypatch):
     assert info.value.best_residual is None
 
 
-def test_missing_constant_mode_carries_no_residual():
-    # A shifted stiffness has no null vector, so index 0 cannot be the
-    # constant mode; that is not a residual miss.
+def test_shifted_stiffness_misses_the_contract_at_the_constant_mode():
+    # A shifted stiffness does not annihilate constants, so the exact
+    # constant pair 0 misses the residual contract like any other pair
+    # would, and the error carries that residual.
     mesh, stiffness, mass = sphere_pencil(1)
     shifted = stiffness + identity(stiffness.shape[0], format="csr")
-    with pytest.raises(EigenSolverError, match="constant mode") as info:
+    with pytest.raises(EigenSolverError,
+                       match="exceeds tolerance .* after 3 attempt") as info:
         solve_spectrum(shifted, mass, k=2)
-    assert info.value.best_residual is None
+    mdiag = mass.diagonal()
+    const = np.full(mesh.n_vertices, 1.0 / math.sqrt(mdiag.sum()))
+    assert_allclose(info.value.best_residual,
+                    relative_residual(shifted, mdiag, 0.0, const), rtol=1e-12)
+
+
+SMALL_CLOSED_MESHES = pytest.mark.parametrize(
+    "mesh", [build_icosphere(2, 1.0), build_flat_torus(8, 8, 1.0, 1.0)],
+    ids=["ico2", "torus8"])
+
+
+@SMALL_CLOSED_MESHES
+def test_constant_pair_is_exact(mesh):
+    mass = assemble_mass(mesh, np.zeros(mesh.n_vertices))
+    pairs = solve_spectrum(mesh.stiffness, mass, k=4)
+    assert pairs[0].lam == 0.0
+    assert np.all(pairs[0].f == 1.0 / np.sqrt(mass.diagonal().sum()))
+
+
+@SMALL_CLOSED_MESHES
+def test_lanczos_sees_only_the_deflated_operator(mesh, monkeypatch):
+    # Each attempt asks ARPACK for k + guards pairs, none of them the
+    # constant, through an operator whose range is M-orthogonal to it.
+    k = 4
+    mass = assemble_mass(mesh, np.zeros(mesh.n_vertices))
+    mdiag = mass.diagonal()
+    const = np.full(mesh.n_vertices, 1.0 / math.sqrt(mdiag.sum()))
+    real_eigsh = spectral.eigsh
+    requested, operators = [], []
+
+    def first_attempts_miss(*args, **kwargs):
+        requested.append(kwargs["k"])
+        operators.append(kwargs["OPinv"])
+        vals, vecs = real_eigsh(*args, **kwargs)
+        if len(requested) < len(spectral._GUARD_PAIRS):
+            noise = np.random.default_rng(0).standard_normal(len(vecs))
+            vecs[:, 0] += 1e-3 * noise
+        return vals, vecs
+
+    monkeypatch.setattr(spectral, "eigsh", first_attempts_miss)
+    pairs = solve_spectrum(mesh.stiffness, mass, k=k)
+    assert len(pairs) == k + 1
+    assert requested == [k + guards for guards in spectral._GUARD_PAIRS]
+    rhs = np.random.default_rng(1).standard_normal((mesh.n_vertices, 3))
+    for op in operators:
+        for b in rhs.T:
+            x = op.matvec(b)
+            assert abs(mdiag @ (const * x)) <= 1e-14 * math.sqrt(mdiag @ x**2)
 
 
 def test_guard_retries_reuse_one_factorization(monkeypatch):
