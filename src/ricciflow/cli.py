@@ -308,12 +308,11 @@ def run_experiment(config, quiet=False):
         _validate_experiment(config, mesh)
         target_area = 1.0 if config.experiment == "conjecture" else None
         u0 = initial_log_factor(mesh, config.perturbation, target_area)
+        out_dir = Path(config.output_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
     except (ConfigError, ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 3
-
-    out_dir = Path(config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     say(f"{config.experiment}: {mesh!r}, mode={config.flow.mode}, "
         f"t_end={config.flow.t_end}")

@@ -97,7 +97,9 @@ class Mesh:
 
         a, b, c = corner_lengths[:, 0], corner_lengths[:, 1], corner_lengths[:, 2]
         s = 0.5 * (a + b + c)
-        heron = s * (s - a) * (s - b) * (s - c)
+        # Overflow and its inf - inf are caught by the finiteness check.
+        with np.errstate(over="ignore", invalid="ignore"):
+            heron = s * (s - a) * (s - b) * (s - c)
         self.face_areas = np.sqrt(np.clip(heron, 0.0, None))
         if not np.all(np.isfinite(self.face_areas)):
             raise MeshError("face areas are not finite (Heron overflow)")

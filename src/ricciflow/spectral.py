@@ -6,30 +6,32 @@ keeps eigenbranch identities consistent between nearby metrics by
 overlap matching.  Both pencils are factored by ``shift_invert``, at
 most once per solve, in a nested-dissection order that is computed once
 per sparsity pattern.  The bottom pair of the Perelman pencil in
-``variation`` comes from ``bottom_pair``: LOBPCG preconditioned by that
-pencil's shift-invert operator, with the Lanczos call the Laplace pencil
-uses (``lowest_pairs``) as its fallback.
+``variation`` comes from ``bottom_pair``: SciPy's LOBPCG preconditioned
+by that pencil's shift-invert operator, with the Lanczos call the
+Laplace pencil uses (``lowest_pairs``) as its fallback.
 
-Products of per-vertex eigenvector blocks are elementwise reductions
-(``mass_gram``, ``_relative_residuals``), never BLAS calls: a length-V
-dot product crosses OpenBLAS's threading threshold on fine meshes, and
-waking NumPy's BLAS thread pool right after ARPACK, while SciPy's own
-pool still spins, costs far more than the product itself.
+The package's own products of per-vertex eigenvector blocks are
+elementwise reductions (``mass_gram``, ``_relative_residuals``), never
+BLAS calls: a length-V dot product crosses OpenBLAS's threading
+threshold on fine meshes, and waking NumPy's BLAS thread pool right
+after ARPACK, while SciPy's own pool still spins, costs far more than
+the product itself.  SciPy's LOBPCG internals are outside this rule.
 """
 
 import functools
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse.linalg as sparse_linalg
 from scipy import sparse
-from scipy.linalg import eigh
 from scipy.sparse import csgraph
 from scipy.sparse.linalg import (
     ArpackError,
     ArpackNoConvergence,
     LinearOperator,
     eigsh,
+    lobpcg,
 )
 
 # Negative shift keeps L - sigma*M positive definite for every pencil,
@@ -40,7 +42,7 @@ _V0_SEED = 20170
 _GUARD_PAIRS = (0, 1, 2)
 # Parts this small are not dissected further; they keep vertex order.
 _LEAF_SIZE = 12
-# Rayleigh-Ritz steps of ``bottom_pair``'s LOBPCG before it falls back
+# Preconditioner solves of ``bottom_pair``'s LOBPCG before it falls back
 # to Lanczos; the perturbed spheres of perfbench/workloads.json take 3-9.
 _LOBPCG_STEPS = 12
 
@@ -103,6 +105,13 @@ def _start_vector(n, seed=_V0_SEED):
     return np.random.default_rng(seed).standard_normal(n)
 
 
+def _check_tol(tol):
+    # Written so that a NaN tolerance fails too.
+    if not tol >= 1e-14:
+        raise ValueError(f"tol must be at least 1e-14 (double precision), "
+                         f"got {tol}")
+
+
 def solve_spectrum(stiffness, mass, k, tol=DEFAULT_TOL):
     """Compute eigenpairs 0..k of L f = lambda M f, sorted ascending.
 
@@ -146,8 +155,7 @@ def solve_spectrum(stiffness, mass, k, tol=DEFAULT_TOL):
     n = stiffness.shape[0]
     if k < 1 or k + 2 > n:
         raise ValueError(f"need 1 <= k <= V - 2, got k={k} with V={n}")
-    if tol < 1e-14:
-        raise ValueError("tol below 1e-14 is not achievable in double precision")
+    _check_tol(tol)
 
     mdiag = np.asarray(mass.diagonal(), dtype=np.float64)
     area = mdiag.sum()
@@ -235,22 +243,39 @@ def bottom_pair(pencil, mdiag, sigma, tol, seed, what):
     """Smallest eigenpair ``(mu, f)`` of pencil f = mu diag(mdiag) f.
 
     ``pencil`` is symmetric and ``sigma`` lies strictly below its
-    spectrum.  The pair comes from ``_lobpcg``, preconditioned by the
-    shift-invert operator of ``pencil - sigma M`` (see ``shift_invert``).
-    That operator is built only once the constant start vector has
-    missed the contract, so a pencil whose bottom eigenvector is the
+    spectrum.  The pair comes from SciPy's single-vector LOBPCG
+    (A. V. Knyazev, SIAM J. Sci. Comput. 23(2), 2001), started from the
+    constant vector and preconditioned by the shift-invert operator of
+    ``pencil - sigma M`` (see ``shift_invert``).  LOBPCG checks its start
+    before it applies that operator, and the operator is factored at its
+    first application, so a pencil whose bottom eigenvector is the
     constant (zero curvature) is solved without a factorization.  When
-    LOBPCG misses, the same operator serves ``lowest_pairs`` with
-    ``seed``.  f has unit M-norm, and the pair meets
-    ||A f - mu M f|| <= tol * ||M f||; otherwise, or when Lanczos does
-    not converge, ``EigenSolverError`` is raised with that relative
-    residual (or None) as ``best_residual``; ``what`` names the pencil.
+    LOBPCG misses within ``_LOBPCG_STEPS`` operator solves, the same
+    operator serves ``lowest_pairs`` with ``seed``.  f has unit M-norm,
+    and the pair meets ||A f - mu M f|| <= tol * ||M f||; otherwise, or
+    when Lanczos does not converge, ``EigenSolverError`` is raised with
+    that relative residual (or None) as ``best_residual``; ``what``
+    names the pencil.
     """
+    _check_tol(tol)
     operator = functools.cache(
         lambda: shift_invert(pencil - sigma * sparse.diags(mdiag)))
-    pair = _lobpcg(pencil, mdiag, operator, tol)
-    if pair is not None:
-        return pair
+    with warnings.catch_warnings():
+        # A miss is judged by the contract below, not by LOBPCG's warning.
+        warnings.simplefilter("ignore", UserWarning)
+        # LOBPCG's stopping test is absolute; a unit M-norm f has
+        # ||M f|| >= sqrt(min m), so meeting it meets the contract.  SciPy
+        # applies the preconditioner at most maxiter + 1 times.
+        _, block = lobpcg(pencil, np.ones((len(mdiag), 1)),
+                          B=sparse.diags(mdiag),
+                          M=lambda r: operator() @ r,
+                          tol=tol * np.sqrt(mdiag.min()),
+                          largest=False, maxiter=_LOBPCG_STEPS - 1)
+    f = block[:, 0] / np.sqrt(mass_gram(block, block, mdiag)[0, 0])
+    mu = float(np.einsum("i,i->", f, pencil @ f))
+    if _relative_residuals(pencil, mdiag, np.array([mu]),
+                           f[:, None])[0] <= tol:
+        return mu, f
     vals, vecs = lowest_pairs(pencil, mdiag, sigma, operator(), 1, seed, what)
     worst = float(_relative_residuals(pencil, mdiag, vals, vecs)[0])
     if worst > tol:
@@ -258,58 +283,6 @@ def bottom_pair(pencil, mdiag, sigma, tol, seed, what):
             f"{what}: residual {worst:.3e} exceeds tolerance {tol:.1e}",
             best_residual=worst)
     return float(vals[0]), vecs[:, 0]
-
-
-def _lobpcg(pencil, mdiag, operator, tol):
-    """Bottom pair of pencil f = mu diag(mdiag) f by single-vector LOBPCG
-    (A. V. Knyazev, SIAM J. Sci. Comput. 23(2), 2001), or None when it
-    misses ``tol`` within ``_LOBPCG_STEPS`` steps.
-
-    The iterate x starts as the constant vector, and it is returned with
-    unit M-norm and its Rayleigh quotient mu as soon as that pair meets
-    the contract; the start is checked before anything is factored.
-    Otherwise ``operator()`` gives the preconditioner T, and each step
-    is a Rayleigh-Ritz projection onto span{x, T r, p}, with r the
-    residual of x and p the previous step's change of x.  mu and r are
-    recomputed from ``pencil @ x`` after every step, not updated from
-    the projection, so the contract is checked on the pair returned.
-    """
-    x = np.ones(len(mdiag))
-    update = None
-    for step in range(_LOBPCG_STEPS + 1):
-        x /= np.sqrt(mass_gram(x[:, None], x[:, None], mdiag)[0, 0])
-        ax = pencil @ x
-        mu = float(np.einsum("i,i->", x, ax))
-        if _relative_residuals(pencil, mdiag, np.array([mu]),
-                               x[:, None])[0] <= tol:
-            return mu, x
-        if step == _LOBPCG_STEPS:
-            return None
-        directions = [x, operator().matvec(ax - mu * (mdiag * x))]
-        if update is not None:
-            directions.append(update)
-        basis = _mass_orthonormal(directions, mdiag)
-        gram = np.einsum("ip,iq->pq", basis, pencil @ basis)
-        _, coef = eigh(gram, subset_by_index=[0, 0])
-        x = np.einsum("ip,p->i", basis, coef[:, 0])
-        update = np.einsum("ip,p->i", basis[:, 1:], coef[1:, 0])
-
-
-def _mass_orthonormal(directions, mdiag):
-    """M-orthonormal (V, p) basis of ``directions``, taken in order.
-
-    Each direction is projected off the basis so far by two classical
-    Gram-Schmidt passes: one pass leaves the basis orthogonal only up to
-    the cancellation in that projection, and a second restores it to
-    working precision ("twice is enough").
-    """
-    basis = np.empty((len(mdiag), 0))
-    for v in directions:
-        v = v[:, None]
-        for _ in range(2):
-            v = v - np.einsum("ip,pq->iq", basis, mass_gram(basis, v, mdiag))
-        basis = np.hstack([basis, v / np.sqrt(mass_gram(v, v, mdiag))])
-    return basis
 
 
 def _solve_once(stiffness, mdiag, op_inv, const, k, guards):

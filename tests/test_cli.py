@@ -256,7 +256,9 @@ def test_perelman_failure_flushes_partial_outputs(tmp_path, capsys,
                         / np.linalg.norm(mf))
         raise ArpackNoConvergence("no convergence", vals, f[:, None])
 
-    monkeypatch.setattr(spectral, "_lobpcg", lambda *args: None)
+    # A column that misses the contract; the constant start would not.
+    monkeypatch.setattr(spectral, "lobpcg", lambda pencil, start, **kwargs: (
+        np.zeros(1), np.random.default_rng(0).standard_normal(start.shape)))
     monkeypatch.setattr(spectral, "eigsh", no_convergence)
     config = parse_config(TORUS_VERIFY)
     config.output_dir = str(tmp_path / "run")
@@ -359,6 +361,19 @@ def test_main_rejects_overflowing_geometry(tmp_path, capsys):
                  "--out", str(out_dir), "--quiet"]) == 3
     assert not out_dir.exists()
     assert "config error: face areas are not finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("out", ["taken", "taken/run"])
+def test_main_rejects_output_path_on_a_file(out, tmp_path, capsys):
+    config_path = tmp_path / "torus.cfg"
+    config_path.write_text(TORUS_VERIFY)
+    (tmp_path / "taken").write_text("not a directory")
+    assert main(["verify", "--config", str(config_path),
+                 "--out", str(tmp_path / out), "--quiet"]) == 3
+    assert "config error" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["taken",
+                                                         "torus.cfg"]
+    assert (tmp_path / "taken").read_text() == "not a directory"
 
 
 def test_main_missing_config_file(tmp_path, capsys):

@@ -449,6 +449,11 @@ def curvature_snapshot(mesh, u):
     return snap
 
 
+def missed_lobpcg(pencil, start, **kwargs):
+    """Stand-in for SciPy's lobpcg: a column that misses the contract."""
+    return np.zeros(1), np.random.default_rng(0).standard_normal(start.shape)
+
+
 PERELMAN_MESHES = st.one_of(
     st.builds(build_icosphere, st.integers(0, 2), st.just(1.0)),
     st.builds(build_flat_torus, st.integers(3, 12), st.integers(3, 12),
@@ -501,7 +506,7 @@ def test_perelman_residual_miss_is_an_error():
             vecs.shape)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(spectral, "_lobpcg", lambda *args: None)
+        patch.setattr(spectral, "lobpcg", missed_lobpcg)
         patch.setattr(spectral, "eigsh", perturbed)
         with pytest.raises(EigenSolverError, match="^curvature-shifted pencil"
                            ".*exceeds tolerance") as info:
@@ -555,8 +560,51 @@ def test_smooth_bump_perelman_takes_few_solves(amplitude, seed, monkeypatch):
     assert counts["factorizations"] == 1
     assert counts["solves"] <= 8
 
-    monkeypatch.setattr(spectral, "_lobpcg", lambda *args: None)
+    monkeypatch.setattr(spectral, "lobpcg", missed_lobpcg)
     assert_allclose(mu, perelman_lambda(mesh, snap), rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_rough_perelman_shares_one_factor_with_its_fallback(seed,
+                                                            monkeypatch):
+    # White-noise u: LOBPCG misses, and Lanczos reuses its factor.
+    mesh = build_icosphere(2, 1.0)
+    snap = curvature_snapshot(mesh, 0.2 * np.random.default_rng(seed)
+                              .standard_normal(mesh.n_vertices))
+    counts = counted_lu(monkeypatch)
+    mu = perelman_lambda(mesh, snap)
+    assert counts["factorizations"] == 1
+    pencil = 4.0 * mesh.stiffness + diags(snap.mass_diag * snap.R)
+    reference = eigh(pencil.toarray(), np.diag(snap.mass_diag),
+                     eigvals_only=True, subset_by_index=[0, 0])[0]
+    assert_allclose(mu, reference, rtol=1e-10)
+
+    solves = counts["solves"]
+    counts.update(factorizations=0, solves=0)
+    monkeypatch.setattr(spectral, "lobpcg", missed_lobpcg)
+    perelman_lambda(mesh, snap)
+    assert counts["factorizations"] == 1
+    assert solves <= counts["solves"] + spectral._LOBPCG_STEPS
+
+
+TOL_ENTRY_POINTS = {
+    "solve_spectrum": lambda mesh, u, tol: solve_spectrum(
+        mesh.stiffness, assemble_mass(mesh, u), k=4, tol=tol),
+    "bottom_pair": lambda mesh, u, tol: perelman_lambda(
+        mesh, curvature_snapshot(mesh, u), tol=tol),
+}
+
+
+@pytest.mark.parametrize("tol", [math.nan, 1e-15])
+@pytest.mark.parametrize("entry", sorted(TOL_ENTRY_POINTS))
+def test_unattainable_tol_is_rejected_before_factoring(entry, tol,
+                                                       monkeypatch):
+    mesh = build_icosphere(2, 1.0)
+    u = 0.2 * np.random.default_rng(0).standard_normal(mesh.n_vertices)
+    counts = counted_lu(monkeypatch)
+    with pytest.raises(ValueError, match="tol must be at least 1e-14"):
+        TOL_ENTRY_POINTS[entry](mesh, u, tol)
+    assert counts == {"factorizations": 0, "solves": 0}
 
 
 # ---------------------------------------------------------------------------
