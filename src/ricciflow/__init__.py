@@ -30,7 +30,6 @@ from .mesh import (
     total_area,
 )
 from .spectral import (
-    Eigenpair,
     EigenSolverError,
     SpectrumSnapshot,
     eigenvalue_clusters,
@@ -44,7 +43,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ConformalState",
     "DegenerateFaceError",
-    "Eigenpair",
     "EigenSolverError",
     "FlowBlowUpError",
     "FlowConfig",

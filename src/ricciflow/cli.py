@@ -106,7 +106,7 @@ def write_trajectory_csv(path, traj, spectrum_k):
         handle.write(",".join(columns) + "\n")
         for snap in traj.snapshots:
             row = [snap.t, snap.area, snap.r_avg, snap.R_min, snap.R_max]
-            row += [snap.eigenpairs[i].lam for i in range(1, spectrum_k + 1)]
+            row += snap.eigenvalues[1:spectrum_k + 1].tolist()
             handle.write(",".join(_fmt(v) for v in row) + "\n")
 
 
@@ -136,7 +136,7 @@ def _nondecreasing(series, slack):
 
 
 def _min_positive_eigenvalue(snapshot):
-    return min(p.lam for p in snapshot.eigenpairs[1:])
+    return float(snapshot.eigenvalues[1:].min())
 
 
 def _base_summary(config, traj):
@@ -359,7 +359,7 @@ def main(argv=None):
 
     try:
         text = Path(args.config).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 3
     try:

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy import sparse
 
 from .mesh import scalar_curvature
 from .spectral import (
@@ -139,7 +138,7 @@ class SpectrumTrajectory:
 
     def eigenvalue_series(self, index):
         """Tracked eigenvalue branch ``index`` across all snapshots."""
-        return np.array([s.eigenpairs[index].lam for s in self.snapshots])
+        return np.array([s.eigenvalues[index] for s in self.snapshots])
 
     @property
     def times(self):
@@ -182,25 +181,32 @@ def step(state, cfg, dt):
 
 
 def _record(state, cfg, prev_snapshot):
-    raw = solve_spectrum(state.mesh.stiffness, sparse.diags(state.mass_diag),
-                         cfg.spectrum_k, cfg.solver_tol)
+    mass_diag = state.mass_diag
+    if not np.all((mass_diag > 0) & (mass_diag < np.inf)):
+        # e^u overflowed or underflowed: there is no pencil to solve.
+        raise EigenSolverError(f"vertex areas not finite and positive at "
+                               f"t={state.t:.6g}")
+    values, vectors = solve_spectrum(state.mesh.stiffness, mass_diag,
+                                     cfg.spectrum_k, cfg.solver_tol)
     if prev_snapshot is None:
-        pairs, overlaps = raw, np.ones(len(raw))
+        overlaps = np.ones(len(values))
     else:
-        pairs, overlaps = track(prev_snapshot, raw, state.mass_diag)
+        values, vectors, overlaps = track(prev_snapshot.eigenvectors, values,
+                                          vectors, mass_diag)
     warnings = [
-        f"tracking loss at index {i}: overlap {overlaps[i]:.3f}"
-        for i in range(len(pairs))
-        if overlaps[i] < TRACKING_OVERLAP_FLOOR
+        f"tracking loss at index {i}: overlap {overlap:.3f}"
+        for i, overlap in enumerate(overlaps)
+        if overlap < TRACKING_OVERLAP_FLOOR
     ]
     return SpectrumSnapshot(
         t=state.t,
         u=state.u.copy(),
-        eigenpairs=pairs,
+        eigenvalues=values,
+        eigenvectors=vectors,
         area=state.area,
         r_avg=state.r_avg,
         R=state.curvature,
-        mass_diag=state.mass_diag,
+        mass_diag=mass_diag,
         overlaps=overlaps,
         tracking_warnings=warnings,
     )

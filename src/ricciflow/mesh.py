@@ -394,6 +394,15 @@ def load_off(path):
         return out
 
     n_vertices, n_faces, _ = take(3, int, "counts")
+    # Checked before the header sizes any array: a triangle takes 4 tokens.
+    if n_vertices < 0 or n_faces < 0:
+        raise ValueError(f"{path}: OFF header has negative counts "
+                         f"{n_vertices} vertices, {n_faces} faces")
+    needed = 3 * n_vertices + 4 * n_faces
+    if needed > len(tokens) - pos:
+        raise ValueError(f"{path}: truncated file: the OFF header's "
+                         f"{n_vertices} vertices and {n_faces} faces need "
+                         f"{needed} tokens, {len(tokens) - pos} follow")
     verts = np.array(take(3 * n_vertices, float, "vertex"),
                      dtype=np.float64).reshape(n_vertices, 3)
     faces = np.empty((n_faces, 3), dtype=np.int64)

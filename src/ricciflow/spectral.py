@@ -1,14 +1,16 @@
-"""Generalized Laplace eigensolver and eigenpair tracking.
+"""Generalized Laplace eigensolver and eigenbranch tracking.
 
 Solves L f = lambda M f for the smallest eigenvalues of the cotangent
 stiffness / lumped mass pencil via shift-inverted Lanczos iteration, and
 keeps eigenbranch identities consistent between nearby metrics by
-overlap matching.  Both pencils are factored by ``shift_invert``, at
-most once per solve, in a nested-dissection order that is computed once
-per sparsity pattern.  The bottom pair of the Perelman pencil in
-``variation`` comes from ``bottom_pair``: SciPy's LOBPCG preconditioned
-by that pencil's shift-invert operator, with the Lanczos call the
-Laplace pencil uses (``lowest_pairs``) as its fallback.
+overlap matching.  M is passed as its per-vertex diagonal, and a
+spectrum is a value array with one eigenvector block, a column per
+value.  Both pencils are factored by ``shift_invert``, at most once per
+solve, in a nested-dissection order computed once per sparsity pattern.
+The bottom pair of the Perelman pencil in ``variation`` comes from
+``bottom_pair``: SciPy's LOBPCG preconditioned by that pencil's
+shift-invert operator, with the Lanczos call the Laplace pencil uses
+(``lowest_pairs``) as its fallback.
 
 The package's own products of per-vertex eigenvector blocks are
 elementwise reductions (``mass_gram``, ``_relative_residuals``), never
@@ -60,36 +62,26 @@ class EigenSolverError(RuntimeError):
 
 
 @dataclass
-class Eigenpair:
-    """One generalized eigenpair; f is normalized to unit M-norm."""
-
-    index: int
-    lam: float
-    f: np.ndarray
-
-
-@dataclass
 class SpectrumSnapshot:
     """Spectrum and per-vertex scalar curvature R of one recorded flow time.
 
-    ``mass_diag`` is the lumped mass diagonal base_vertex_area * e^u that
-    the spectrum was solved with.  The mesh is not carried; it belongs
-    to the trajectory.
+    ``eigenvalues`` (k + 1,) and ``eigenvectors`` (V, k + 1) are the
+    tracked branches 0..k: column i is branch i's eigenfunction, of unit
+    M-norm, with eigenvalue ``eigenvalues[i]``.  ``mass_diag`` is the
+    lumped mass diagonal base_vertex_area * e^u that the spectrum was
+    solved with.  The mesh is not carried; it belongs to the trajectory.
     """
 
     t: float
     u: np.ndarray
-    eigenpairs: list
+    eigenvalues: np.ndarray
+    eigenvectors: np.ndarray
     area: float
     r_avg: float
     R: np.ndarray
     mass_diag: np.ndarray
     overlaps: np.ndarray = None
     tracking_warnings: list = field(default_factory=list)
-
-    @property
-    def eigenvalues(self):
-        return np.array([p.lam for p in self.eigenpairs])
 
     @property
     def R_min(self):
@@ -112,11 +104,14 @@ def _check_tol(tol):
                          f"got {tol}")
 
 
-def solve_spectrum(stiffness, mass, k, tol=DEFAULT_TOL):
-    """Compute eigenpairs 0..k of L f = lambda M f, sorted ascending.
+def solve_spectrum(stiffness, mass_diag, k, tol=DEFAULT_TOL):
+    """Eigenpairs 0..k of L f = lambda M f, M = diag(mass_diag), ascending.
 
-    Pair 0 is exactly ``(0.0, c)``, c = 1/sqrt(sum M) the constant with
-    unit M-norm; higher indices are M-orthogonal to c, unit M-norm.
+    Returns ``(eigenvalues, eigenvectors)``: the (k + 1,) values and the
+    (V, k + 1) block whose column i belongs to ``eigenvalues[i]``.  Pair
+    0 is exactly ``(0.0, c)``, c = 1/sqrt(sum M) the constant with unit
+    M-norm; columns 1..k are M-orthogonal to c, of unit M-norm, and
+    signed so that their largest-magnitude entry is positive.
 
     ``L - sigma M`` is factored once (see ``shift_invert``), and every
     attempt reuses that factor with c deflated: right-hand sides are
@@ -133,8 +128,11 @@ def solve_spectrum(stiffness, mass, k, tol=DEFAULT_TOL):
 
     Parameters
     ----------
-    stiffness, mass : sparse matrices
-        Positive semidefinite stiffness and positive diagonal mass.
+    stiffness : sparse matrix
+        Positive semidefinite stiffness L.
+    mass_diag : (V,) array
+        Lumped mass diagonal, finite and positive; anything else raises
+        ``ValueError`` before the pencil is factored.
     k : int
         Largest eigenpair index; k + 2 <= V is required by the
         underlying Lanczos factorization.
@@ -156,11 +154,14 @@ def solve_spectrum(stiffness, mass, k, tol=DEFAULT_TOL):
     if k < 1 or k + 2 > n:
         raise ValueError(f"need 1 <= k <= V - 2, got k={k} with V={n}")
     _check_tol(tol)
-
-    mdiag = np.asarray(mass.diagonal(), dtype=np.float64)
+    # Written so that NaN and infinite entries fail too.
+    if not (isinstance(mass_diag, np.ndarray) and mass_diag.shape == (n,)
+            and np.all((mass_diag > 0) & (mass_diag < np.inf))):
+        raise ValueError(f"mass_diag must be a finite, positive ({n},) array")
+    mdiag = mass_diag
     area = mdiag.sum()
     const = np.full((n, 1), 1.0 / np.sqrt(area))
-    factor = shift_invert(stiffness - _SIGMA * mass)
+    factor = shift_invert(stiffness - _SIGMA * sparse.diags(mdiag))
 
     def deflated_solve(rhs):
         # P (L - sigma M)^-1 P^T rhs, P x = x - c c^T M x, c c^T = 1/area.
@@ -176,10 +177,7 @@ def solve_spectrum(stiffness, mass, k, tol=DEFAULT_TOL):
         vals, block = _solve_once(stiffness, mdiag, op_inv, const, k, guards)
         worst = float(_relative_residuals(stiffness, mdiag, vals, block).max())
         if worst <= tol:
-            # Each pair owns its vector: columns viewing one shared block
-            # would keep the whole block alive for as long as any pair.
-            return [Eigenpair(i, float(lam), block[:, i].copy())
-                    for i, lam in enumerate(vals)]
+            return vals, block
         misses.append(worst)
     raise EigenSolverError(
         f"residual {min(misses):.3e} exceeds tolerance {tol:.1e} "
@@ -288,17 +286,14 @@ def bottom_pair(pencil, mdiag, sigma, tol, seed, what):
 def _solve_once(stiffness, mdiag, op_inv, const, k, guards):
     """One shift-invert Lanczos solve for k + guards nonconstant pairs.
 
-    Returns ``(vals, block)`` for pairs 0..k: pair 0 is ``(0.0, const)``
-    (``const`` the (V, 1) constant column that ``op_inv`` deflates), and
-    columns 1..k are normalized as ``solve_spectrum`` documents.
-    Residuals are not checked; the guard pairs are dropped.
+    Returns ``(vals, block)`` for pairs 0..k as ``solve_spectrum``
+    documents them, ``const`` being the (V, 1) constant column that
+    ``op_inv`` deflates.  Residuals are not checked; the guard pairs are
+    dropped.
     """
     vals, vecs = lowest_pairs(stiffness, mdiag, _SIGMA, op_inv, k + guards,
                               _V0_SEED, "Laplace pencil")
 
-    # Columns 1..k are projected M-orthogonal to the constant, scaled to
-    # unit M-norm, and signed so that their largest-magnitude entry is
-    # positive.
     block = np.asfortranarray(np.hstack([const, vecs[:, :k]]))
     modes = block[:, 1:]
     modes -= const * mass_gram(const, modes, mdiag)
@@ -465,63 +460,50 @@ def _peripheral_levels(graph, groups, members):
         level[take] = candidate[take]
 
 
-def rayleigh_quotient(f, stiffness, mass):
-    """(f' L f) / (f' M f); rejects vectors with vanishing M-norm."""
+def rayleigh_quotient(f, stiffness, mass_diag):
+    """(f' L f) / (f' M f), M = diag(mass_diag); rejects zero M-norm."""
     f = np.asarray(f, dtype=np.float64)
-    den = float(np.sum(f * (mass @ f)))
+    den = float(np.sum(f * (mass_diag * f)))
     if den <= 1e-300:
         raise ValueError("vector has zero M-norm")
     return float(np.sum(f * (stiffness @ f))) / den
 
 
-def track(prev, curr_raw, mass_diag):
-    """Align freshly solved eigenpairs with a previous snapshot.
+def track(prev_vectors, values, vectors, mass_diag):
+    """Align a freshly solved spectrum with the previous snapshot's block.
 
-    Matches pairs by greedy maximal matching on |<f_prev, M f_curr>|,
-    with M the current mass diagonal ``mass_diag``, and flips signs so
-    each matched overlap is positive.  The returned list is ordered by
-    the previous snapshot's indices, so eigenbranches keep their
-    identity through near-degenerate crossings.
+    Matches the columns of ``vectors`` to those of ``prev_vectors`` by
+    greedy maximal matching on |<f_prev, M f_curr>|, with M the current
+    mass diagonal ``mass_diag``, and flips signs so each matched overlap
+    is positive.  The result is ordered by the previous snapshot's
+    columns, so eigenbranches keep their identity through
+    near-degenerate crossings.
 
     Returns
     -------
-    (pairs, overlaps)
-        Re-indexed eigenpairs and the matched |overlap| per index.
-        Overlaps below ``TRACKING_OVERLAP_FLOOR`` indicate tracking
-        loss; callers record a warning but continue.
+    (values, vectors, overlaps)
+        The re-indexed eigenvalues and sign-aligned eigenvector block,
+        and the matched |overlap| per index.  Overlaps below
+        ``TRACKING_OVERLAP_FLOOR`` indicate tracking loss; callers
+        record a warning but continue.
     """
-    if len(prev.eigenpairs) != len(curr_raw):
+    if prev_vectors.shape != vectors.shape:
         raise ValueError("snapshots carry different eigenpair counts")
-    n_pairs = len(curr_raw)
-    basis_prev = np.column_stack([p.f for p in prev.eigenpairs])
-    basis_curr = np.column_stack([p.f for p in curr_raw])
-    overlap = mass_gram(basis_prev, basis_curr, mass_diag)
+    n_pairs = vectors.shape[1]
+    overlap = mass_gram(prev_vectors, vectors, mass_diag)
     score = np.abs(overlap)
 
     match = np.full(n_pairs, -1)
-    row_used = np.zeros(n_pairs, dtype=bool)
     col_used = np.zeros(n_pairs, dtype=bool)
-    matched = 0
     for flat in np.argsort(-score, axis=None, kind="stable"):
         i, j = divmod(int(flat), n_pairs)
-        if row_used[i] or col_used[j]:
-            continue
-        match[i] = j
-        row_used[i] = True
-        col_used[j] = True
-        matched += 1
-        if matched == n_pairs:
-            break
+        if match[i] < 0 and not col_used[j]:
+            match[i] = j
+            col_used[j] = True
 
-    pairs = []
-    overlaps = np.empty(n_pairs)
-    for i in range(n_pairs):
-        j = match[i]
-        sign = 1.0 if overlap[i, j] >= 0 else -1.0
-        pairs.append(Eigenpair(index=i, lam=curr_raw[j].lam,
-                               f=sign * curr_raw[j].f))
-        overlaps[i] = score[i, j]
-    return pairs, overlaps
+    rows = np.arange(n_pairs)
+    signs = np.where(overlap[rows, match] >= 0, 1.0, -1.0)
+    return values[match], vectors[:, match] * signs, score[rows, match]
 
 
 def eigenvalue_clusters(values):

@@ -11,7 +11,8 @@ normalization-derived integrability conditions, and exposes the
 curvature-shifted pencil eigenvalue 4L + M diag(R) whose smallest
 eigenvalue is nondecreasing along the unnormalized flow.  All of them
 read the curvature R and the measure dmu (``mass_diag``) that each
-snapshot carries.
+snapshot carries.  Branch i of a snapshot is entry i of its
+``eigenvalues`` with column i of its ``eigenvectors`` block as f.
 """
 
 import math
@@ -39,31 +40,25 @@ class ClusterGaugeError(ValueError):
     """Eigenfunction derivative undefined inside a degenerate cluster."""
 
 
-def _require_nonconstant(pair):
-    if pair.index < 1:
+def rhs_unnormalized_surface(snapshot, index):
+    """Surface rate lambda * int f^2 R dmu of branch ``index``
+    (unnormalized flow)."""
+    if index < 1:
         raise ValueError("variation formulas apply to nonconstant modes "
                          "(index >= 1)")
-
-
-def _check_normalization(snapshot, pair):
-    norm = integrate(snapshot.mass_diag, pair.f**2)
+    f = snapshot.eigenvectors[:, index]
+    norm = integrate(snapshot.mass_diag, f**2)
     if abs(norm - 1.0) > NORMALIZATION_SLACK:
-        raise ValueError(
-            f"eigenfunction M-norm is {norm:.9f}, off unit by more than "
-            f"{NORMALIZATION_SLACK:.0e}"
-        )
+        raise ValueError(f"eigenfunction M-norm is {norm:.9f}, off unit by "
+                         f"more than {NORMALIZATION_SLACK:.0e}")
+    return (snapshot.eigenvalues[index]
+            * integrate(snapshot.mass_diag, f**2 * snapshot.R))
 
 
-def rhs_unnormalized_surface(snapshot, pair):
-    """Surface eigenvalue rate lambda * int f^2 R dmu (unnormalized flow)."""
-    _require_nonconstant(pair)
-    _check_normalization(snapshot, pair)
-    return pair.lam * integrate(snapshot.mass_diag, pair.f**2 * snapshot.R)
-
-
-def rhs_normalized_surface(snapshot, pair):
-    """Surface eigenvalue rate -r*lambda + lambda * int f^2 R dmu."""
-    return rhs_unnormalized_surface(snapshot, pair) - snapshot.r_avg * pair.lam
+def rhs_normalized_surface(snapshot, index):
+    """Surface rate -r*lambda + lambda * int f^2 R dmu of branch ``index``."""
+    return (rhs_unnormalized_surface(snapshot, index)
+            - snapshot.r_avg * snapshot.eigenvalues[index])
 
 
 def finite_difference_rate(traj, t_index, members):
@@ -74,14 +69,12 @@ def finite_difference_rate(traj, t_index, members):
     the arbitrary eigenbasis rotations inside a degenerate eigenspace.
     """
     s_prev, _, s_next, h = central_window(traj, t_index)
-    if np.isscalar(members):
-        members = (int(members),)
-    members = tuple(int(m) for m in members)
-    if not members or min(members) < 1:
+    members = np.atleast_1d(members).astype(int)
+    if not len(members) or members.min() < 1:
         raise ValueError("rates are defined for branch indices >= 1")
 
-    lam_prev = np.mean([s_prev.eigenpairs[m].lam for m in members])
-    lam_next = np.mean([s_next.eigenpairs[m].lam for m in members])
+    lam_prev = np.mean(s_prev.eigenvalues[members])
+    lam_next = np.mean(s_next.eigenvalues[members])
     return float((lam_next - lam_prev) / (2.0 * h))
 
 
@@ -129,19 +122,18 @@ def integrability_residuals(traj, t_index, eigen_index, allow_cluster=False):
                 )
             members = tuple(cluster)
 
-    f_mid = s_mid.eigenpairs[eigen_index].f
+    f_mid = s_mid.eigenvectors[:, eigen_index]
     if len(members) > 1:
-        target = np.column_stack([s_mid.eigenpairs[m].f for m in members])
-        sides = []
-        for snap in (s_prev, s_next):
-            block = np.column_stack([snap.eigenpairs[m].f for m in members])
-            sides.append(_procrustes_aligned_block(block, target,
-                                                   s_mid.mass_diag))
+        columns = list(members)
+        target = s_mid.eigenvectors[:, columns]
+        sides = [_procrustes_aligned_block(snap.eigenvectors[:, columns],
+                                           target, s_mid.mass_diag)
+                 for snap in (s_prev, s_next)]
         col = members.index(eigen_index)
         f_dot = (sides[1][:, col] - sides[0][:, col]) / (2.0 * h)
     else:
-        f_dot = (s_next.eigenpairs[eigen_index].f
-                 - s_prev.eigenpairs[eigen_index].f) / (2.0 * h)
+        f_dot = (s_next.eigenvectors[:, eigen_index]
+                 - s_prev.eigenvectors[:, eigen_index]) / (2.0 * h)
 
     mdiag = s_mid.mass_diag
     res_first = abs(integrate(mdiag, f_dot)
@@ -214,9 +206,9 @@ def relative_error(fd_rate, rhs_rate):
 
 def _cluster_subspace_overlap(s_a, s_b, members):
     """Smallest principal-angle cosine between two cluster eigenspaces."""
-    block_a = np.column_stack([s_a.eigenpairs[m].f for m in members])
-    block_b = np.column_stack([s_b.eigenpairs[m].f for m in members])
-    overlap = mass_gram(block_a, block_b, s_b.mass_diag)
+    columns = list(members)
+    overlap = mass_gram(s_a.eigenvectors[:, columns],
+                        s_b.eigenvectors[:, columns], s_b.mass_diag)
     return float(np.linalg.svd(overlap, compute_uv=False).min())
 
 
@@ -247,8 +239,7 @@ def variation_report(traj):
             members = tuple(cluster)
             is_cluster = len(members) > 1
             fd = finite_difference_rate(traj, t_index, members)
-            rhs = float(np.mean([rhs_fn(s_mid, s_mid.eigenpairs[m])
-                                 for m in members]))
+            rhs = float(np.mean([rhs_fn(s_mid, m) for m in members]))
             if is_cluster:
                 # Per-vector overlaps jitter inside a degenerate
                 # eigenspace; what tracking preserves is the span.
@@ -272,7 +263,7 @@ def variation_report(traj):
                 index=members[0],
                 members=members,
                 is_cluster=is_cluster,
-                lam=float(np.mean([values[m] for m in members])),
+                lam=float(np.mean(values[list(members)])),
                 fd_rate=fd,
                 rhs_rate=rhs,
                 rel_error=relative_error(fd, rhs),

@@ -376,6 +376,31 @@ def test_main_rejects_output_path_on_a_file(out, tmp_path, capsys):
     assert (tmp_path / "taken").read_text() == "not a directory"
 
 
+@pytest.mark.parametrize("header, reason", [
+    ("1 20000000000000 0", "truncated file: the OFF header's"),
+    ("-1 2 0", "OFF header has negative counts"),
+])
+def test_main_rejects_off_header_counts(header, reason, tmp_path, capsys):
+    off_path = tmp_path / "bad.off"
+    off_path.write_text(f"OFF\n{header}\n0 0 0\n")
+    config_path = tmp_path / "off.cfg"
+    config_path.write_text(TORUS_VERIFY.replace(
+        "kind = flat_torus\nn = 8\nm = 8",
+        f"kind = off_file\npath = {off_path}"))
+    out_dir = tmp_path / "out"
+    assert main(["verify", "--config", str(config_path),
+                 "--out", str(out_dir), "--quiet"]) == 3
+    assert not out_dir.exists()
+    assert reason in capsys.readouterr().err
+
+
+def test_main_rejects_non_utf8_config(tmp_path, capsys):
+    config_path = tmp_path / "utf16.cfg"
+    config_path.write_bytes(b"\xff\xfe" + TORUS_VERIFY.encode("utf-16-le"))
+    assert main(["verify", "--config", str(config_path), "--quiet"]) == 3
+    assert "config error" in capsys.readouterr().err
+
+
 def test_main_missing_config_file(tmp_path, capsys):
     code = main(["flow", "--config", str(tmp_path / "nope.cfg")])
     assert code == 3

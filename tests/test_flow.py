@@ -33,8 +33,9 @@ def fake_trajectory(mesh, times):
     traj = SpectrumTrajectory(mesh=mesh, mode="unnormalized")
     for t in times:
         traj.snapshots.append(SpectrumSnapshot(
-            t=t, u=np.zeros(mesh.n_vertices), eigenpairs=[],
-            area=1.0, r_avg=0.0, R=np.zeros(mesh.n_vertices),
+            t=t, u=np.zeros(mesh.n_vertices), eigenvalues=np.zeros(0),
+            eigenvectors=np.zeros((mesh.n_vertices, 0)), area=1.0,
+            r_avg=0.0, R=np.zeros(mesh.n_vertices),
             mass_diag=mesh.base_vertex_area.copy()))
     return traj
 

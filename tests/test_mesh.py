@@ -379,9 +379,9 @@ def test_icosphere_lambda1_refinement():
     errors = []
     for k in (2, 3, 4):
         mesh = build_icosphere(k, 1.0)
-        mass = assemble_mass(mesh, np.zeros(mesh.n_vertices))
-        pairs = solve_spectrum(mesh.stiffness, mass, k=1)
-        errors.append(abs(pairs[1].lam - 2.0))
+        values, _ = solve_spectrum(mesh.stiffness, mesh.base_vertex_area,
+                                   k=1)
+        errors.append(abs(values[1] - 2.0))
     assert errors[0] > errors[1] > errors[2]
 
 
@@ -450,6 +450,19 @@ def test_load_off_rejects_truncation(tmp_path):
     path = tmp_path / "short.off"
     path.write_text("OFF\n6 8 12\n1 0 0\n")
     with pytest.raises(ValueError, match="truncated"):
+        load_off(path)
+
+
+@pytest.mark.parametrize("header, reason", [
+    # Would allocate a 437 TiB face array if trusted.
+    ("1 20000000000000 0", "truncated file: the OFF header's"),
+    ("-1 2 0", "OFF header has negative counts"),
+    ("6 -8 12", "OFF header has negative counts"),
+])
+def test_load_off_checks_header_counts(header, reason, tmp_path):
+    path = tmp_path / "header.off"
+    path.write_text(OCTAHEDRON_OFF.replace("6 8 12", header))
+    with pytest.raises(ValueError, match=reason):
         load_off(path)
 
 

@@ -16,7 +16,6 @@ from ricciflow.cli import conformal_bump
 from ricciflow.config import PerturbationSpec
 from ricciflow.mesh import (
     Mesh,
-    assemble_mass,
     build_flat_torus,
     build_icosphere,
     scalar_curvature,
@@ -25,7 +24,6 @@ from ricciflow.mesh import (
 from ricciflow.modelspaces import exact_spectrum, flat_torus, round_sphere
 from ricciflow.spectral import (
     EigenSolverError,
-    Eigenpair,
     SpectrumSnapshot,
     eigenvalue_clusters,
     rayleigh_quotient,
@@ -37,16 +35,15 @@ from ricciflow.variation import perelman_lambda
 
 def sphere_pencil(subdivisions=3, radius=1.0):
     mesh = build_icosphere(subdivisions, radius)
-    mass = assemble_mass(mesh, np.zeros(mesh.n_vertices))
-    return mesh, mesh.stiffness, mass
+    return mesh, mesh.stiffness, mesh.base_vertex_area
 
 
-def snapshot_from_pairs(mesh, pairs, u=None):
+def snapshot_from_spectrum(mesh, values, vectors, u=None):
     u = np.zeros(mesh.n_vertices) if u is None else u
     return SpectrumSnapshot(
-        t=0.0, u=u, eigenpairs=pairs, area=total_area(mesh, u),
-        r_avg=0.0, R=np.zeros(mesh.n_vertices),
-        mass_diag=assemble_mass(mesh, u).diagonal(),
+        t=0.0, u=u, eigenvalues=values, eigenvectors=vectors,
+        area=total_area(mesh, u), r_avg=0.0, R=np.zeros(mesh.n_vertices),
+        mass_diag=mesh.base_vertex_area * np.exp(u),
     )
 
 
@@ -58,85 +55,79 @@ def test_sphere_spectrum_first_shells():
     oracle = exact_spectrum(round_sphere(2, 1.0), 3)
     lam1_exact = oracle.entries[1][0]   # 2, multiplicity 3
     lam4_exact = oracle.entries[2][0]   # 6, multiplicity 5
-    mesh, stiffness, mass = sphere_pencil(3)
-    pairs = solve_spectrum(stiffness, mass, k=4)
-    for pair in pairs[1:4]:
-        assert abs(pair.lam - lam1_exact) < 0.01 * lam1_exact
-    assert abs(pairs[4].lam - lam4_exact) < 0.02 * lam4_exact
+    mesh, stiffness, mdiag = sphere_pencil(3)
+    vals, _ = solve_spectrum(stiffness, mdiag, k=4)
+    for lam in vals[1:4]:
+        assert abs(lam - lam1_exact) < 0.01 * lam1_exact
+    assert abs(vals[4] - lam4_exact) < 0.02 * lam4_exact
 
 
 def test_torus_spectrum_first_shell():
     oracle = exact_spectrum(flat_torus(np.eye(2)), 2)
     lam1_exact = oracle.entries[1][0]   # 4 pi^2, multiplicity 4
     mesh = build_flat_torus(32, 32, 1.0, 1.0)
-    mass = assemble_mass(mesh, np.zeros(mesh.n_vertices))
-    pairs = solve_spectrum(mesh.stiffness, mass, k=3)
-    assert abs(pairs[1].lam - lam1_exact) < 0.01 * lam1_exact
+    vals, _ = solve_spectrum(mesh.stiffness, mesh.base_vertex_area, k=3)
+    assert abs(vals[1] - lam1_exact) < 0.01 * lam1_exact
     # First dual-lattice shell: the discrete multiplicity survives.
-    assert abs(pairs[2].lam - pairs[1].lam) < 1e-9 * lam1_exact
-    assert abs(pairs[3].lam - pairs[1].lam) < 1e-9 * lam1_exact
+    assert abs(vals[2] - vals[1]) < 1e-9 * lam1_exact
+    assert abs(vals[3] - vals[1]) < 1e-9 * lam1_exact
 
 
 def test_constant_mode():
-    mesh, stiffness, mass = sphere_pencil(2)
-    pairs = solve_spectrum(stiffness, mass, k=1)
-    assert pairs[0].index == 0
-    assert pairs[0].lam <= 1e-10
+    mesh, stiffness, mdiag = sphere_pencil(2)
+    vals, vecs = solve_spectrum(stiffness, mdiag, k=1)
+    assert vals.shape == (2,) and vecs.shape == (mesh.n_vertices, 2)
+    assert vals[0] <= 1e-10
     area = total_area(mesh, np.zeros(mesh.n_vertices))
-    assert_allclose(pairs[0].f, 1.0 / math.sqrt(area), rtol=1e-12)
+    assert_allclose(vecs[:, 0], 1.0 / math.sqrt(area), rtol=1e-12)
 
 
 def test_eigenvalues_nondecreasing():
-    _, stiffness, mass = sphere_pencil(2)
-    pairs = solve_spectrum(stiffness, mass, k=8)
-    values = [p.lam for p in pairs]
+    _, stiffness, mdiag = sphere_pencil(2)
+    values, _ = solve_spectrum(stiffness, mdiag, k=8)
     assert all(b >= a for a, b in zip(values, values[1:]))
 
 
 def test_eigenpair_normalization_contract():
-    mesh, stiffness, mass = sphere_pencil(2)
-    mdiag = mass.diagonal()
-    pairs = solve_spectrum(stiffness, mass, k=5)
-    for pair in pairs[1:]:
-        assert abs(mdiag @ pair.f - 0.0) < 1e-8          # int f dmu = 0
-        assert abs(mdiag @ pair.f**2 - 1.0) < 1e-8       # int f^2 dmu = 1
+    mesh, stiffness, mdiag = sphere_pencil(2)
+    _, vecs = solve_spectrum(stiffness, mdiag, k=5)
+    for f in vecs[:, 1:].T:
+        assert abs(mdiag @ f - 0.0) < 1e-8          # int f dmu = 0
+        assert abs(mdiag @ f**2 - 1.0) < 1e-8       # int f^2 dmu = 1
 
 
 def test_residual_contract():
-    _, stiffness, mass = sphere_pencil(2)
-    mdiag = mass.diagonal()
-    pairs = solve_spectrum(stiffness, mass, k=5, tol=1e-10)
-    for pair in pairs:
-        mf = mdiag * pair.f
-        residual = np.linalg.norm(stiffness @ pair.f - pair.lam * mf)
+    _, stiffness, mdiag = sphere_pencil(2)
+    vals, vecs = solve_spectrum(stiffness, mdiag, k=5, tol=1e-10)
+    for lam, f in zip(vals, vecs.T):
+        mf = mdiag * f
+        residual = np.linalg.norm(stiffness @ f - lam * mf)
         assert residual <= 1e-10 * np.linalg.norm(mf)
 
 
 def test_gram_matrix_is_identity():
-    _, stiffness, mass = sphere_pencil(2)
-    pairs = solve_spectrum(stiffness, mass, k=6)
-    basis = np.column_stack([p.f for p in pairs])
-    gram = basis.T @ (mass @ basis)
+    _, stiffness, mdiag = sphere_pencil(2)
+    _, basis = solve_spectrum(stiffness, mdiag, k=6)
+    gram = basis.T @ (mdiag[:, None] * basis)
     assert np.max(np.abs(gram - np.eye(7))) < 1e-8
 
 
 def test_solver_is_deterministic():
-    _, stiffness, mass = sphere_pencil(2)
-    first = solve_spectrum(stiffness, mass, k=4)
-    second = solve_spectrum(stiffness, mass, k=4)
-    assert [p.lam for p in first] == [p.lam for p in second]
-    for a, b in zip(first, second):
-        assert np.array_equal(a.f, b.f)
+    _, stiffness, mdiag = sphere_pencil(2)
+    first = solve_spectrum(stiffness, mdiag, k=4)
+    second = solve_spectrum(stiffness, mdiag, k=4)
+    assert np.array_equal(first[0], second[0])
+    assert np.array_equal(first[1], second[1])
 
 
 def test_mass_scaling_law():
     # Replacing M by c*M divides every nonzero eigenvalue by c.
-    _, stiffness, mass = sphere_pencil(2)
+    _, stiffness, mdiag = sphere_pencil(2)
     c = 2.5
-    base = solve_spectrum(stiffness, mass, k=4)
-    scaled = solve_spectrum(stiffness, c * mass, k=4)
+    base, _ = solve_spectrum(stiffness, mdiag, k=4)
+    scaled, _ = solve_spectrum(stiffness, c * mdiag, k=4)
     for lo, hi in zip(base[1:], scaled[1:]):
-        assert_allclose(hi.lam, lo.lam / c, rtol=1e-9)
+        assert_allclose(hi, lo / c, rtol=1e-9)
 
 
 def relative_residual(stiffness, mdiag, lam, f):
@@ -156,12 +147,11 @@ def test_cut_clusters_meet_residual_contract():
     cases += [(torus, 0.7, k) for k in range(1, 9)]
     misses = []
     for mesh, c, k in cases:
-        mass = c * assemble_mass(mesh, np.zeros(mesh.n_vertices))
-        mdiag = mass.diagonal()
-        pairs = solve_spectrum(mesh.stiffness, mass, k=k, tol=1e-10)
-        assert [p.index for p in pairs] == list(range(k + 1))
-        worst = max(relative_residual(mesh.stiffness, mdiag, p.lam, p.f)
-                    for p in pairs)
+        mdiag = c * mesh.base_vertex_area
+        vals, vecs = solve_spectrum(mesh.stiffness, mdiag, k=k, tol=1e-10)
+        assert vals.shape == (k + 1,) and vecs.shape[1] == k + 1
+        worst = max(relative_residual(mesh.stiffness, mdiag, lam, f)
+                    for lam, f in zip(vals, vecs.T))
         if worst > 1e-10:
             misses.append((mesh.n_vertices, c, k, worst))
     assert misses == []
@@ -171,11 +161,10 @@ def test_cut_clusters_meet_residual_contract():
 def test_unreachable_tol_reports_relative_residual(k, attempts):
     # 64 vertices: guard pairs that would request V pairs are skipped.
     mesh = build_flat_torus(8, 8, 1.0, 1.0)
-    mass = assemble_mass(mesh, np.zeros(mesh.n_vertices))
     with pytest.raises(EigenSolverError,
                        match=f"exceeds tolerance .* after {attempts} attempt"
                        ) as info:
-        solve_spectrum(mesh.stiffness, mass, k=k, tol=1e-14)
+        solve_spectrum(mesh.stiffness, mesh.base_vertex_area, k=k, tol=1e-14)
     best = info.value.best_residual
     assert math.isfinite(best)
     assert 1e-14 < best < 1e-8
@@ -183,9 +172,9 @@ def test_unreachable_tol_reports_relative_residual(k, attempts):
 
 def test_no_convergence_reports_converged_pair_residuals(monkeypatch):
     mesh = build_flat_torus(8, 8, 1.0, 1.0)
-    mass = assemble_mass(mesh, np.zeros(mesh.n_vertices))
-    mdiag = mass.diagonal()
-    vals, vecs = spectral.eigsh(mesh.stiffness, k=3, M=mass, sigma=-1e-2)
+    mdiag = mesh.base_vertex_area
+    vals, vecs = spectral.eigsh(mesh.stiffness, k=3, M=diags(mdiag),
+                                sigma=-1e-2)
     # Mix the constant mode into the second converged vector so that its
     # residual is the worst, and far from any eigenvalue.
     vecs[:, 1] += 1e-3 * vecs[:, 0]
@@ -197,7 +186,7 @@ def test_no_convergence_reports_converged_pair_residuals(monkeypatch):
 
     monkeypatch.setattr(spectral, "eigsh", no_convergence)
     with pytest.raises(EigenSolverError, match="did not converge") as info:
-        solve_spectrum(mesh.stiffness, mass, k=3)
+        solve_spectrum(mesh.stiffness, mdiag, k=3)
     assert_allclose(info.value.best_residual, expected, rtol=1e-12)
     assert info.value.best_residual > 1e-6    # not min |eigenvalue| ~ 0
 
@@ -207,7 +196,7 @@ def test_no_convergence_reports_converged_pair_residuals(monkeypatch):
 
     monkeypatch.setattr(spectral, "eigsh", nothing_converged)
     with pytest.raises(EigenSolverError) as info:
-        solve_spectrum(mesh.stiffness, mass, k=3)
+        solve_spectrum(mesh.stiffness, mdiag, k=3)
     assert info.value.best_residual is None
 
 
@@ -215,12 +204,11 @@ def test_shifted_stiffness_misses_the_contract_at_the_constant_mode():
     # A shifted stiffness does not annihilate constants, so the exact
     # constant pair 0 misses the residual contract like any other pair
     # would, and the error carries that residual.
-    mesh, stiffness, mass = sphere_pencil(1)
+    mesh, stiffness, mdiag = sphere_pencil(1)
     shifted = stiffness + identity(stiffness.shape[0], format="csr")
     with pytest.raises(EigenSolverError,
                        match="exceeds tolerance .* after 3 attempt") as info:
-        solve_spectrum(shifted, mass, k=2)
-    mdiag = mass.diagonal()
+        solve_spectrum(shifted, mdiag, k=2)
     const = np.full(mesh.n_vertices, 1.0 / math.sqrt(mdiag.sum()))
     assert_allclose(info.value.best_residual,
                     relative_residual(shifted, mdiag, 0.0, const), rtol=1e-12)
@@ -233,10 +221,10 @@ SMALL_CLOSED_MESHES = pytest.mark.parametrize(
 
 @SMALL_CLOSED_MESHES
 def test_constant_pair_is_exact(mesh):
-    mass = assemble_mass(mesh, np.zeros(mesh.n_vertices))
-    pairs = solve_spectrum(mesh.stiffness, mass, k=4)
-    assert pairs[0].lam == 0.0
-    assert np.all(pairs[0].f == 1.0 / np.sqrt(mass.diagonal().sum()))
+    mdiag = mesh.base_vertex_area
+    vals, vecs = solve_spectrum(mesh.stiffness, mdiag, k=4)
+    assert vals[0] == 0.0
+    assert np.all(vecs[:, 0] == 1.0 / np.sqrt(mdiag.sum()))
 
 
 @SMALL_CLOSED_MESHES
@@ -244,8 +232,7 @@ def test_lanczos_sees_only_the_deflated_operator(mesh, monkeypatch):
     # Each attempt asks ARPACK for k + guards pairs, none of them the
     # constant, through an operator whose range is M-orthogonal to it.
     k = 4
-    mass = assemble_mass(mesh, np.zeros(mesh.n_vertices))
-    mdiag = mass.diagonal()
+    mdiag = mesh.base_vertex_area
     const = np.full(mesh.n_vertices, 1.0 / math.sqrt(mdiag.sum()))
     real_eigsh = spectral.eigsh
     requested, operators = [], []
@@ -260,8 +247,8 @@ def test_lanczos_sees_only_the_deflated_operator(mesh, monkeypatch):
         return vals, vecs
 
     monkeypatch.setattr(spectral, "eigsh", first_attempts_miss)
-    pairs = solve_spectrum(mesh.stiffness, mass, k=k)
-    assert len(pairs) == k + 1
+    vals, vecs = solve_spectrum(mesh.stiffness, mdiag, k=k)
+    assert vals.shape == (k + 1,) and vecs.shape[1] == k + 1
     assert requested == [k + guards for guards in spectral._GUARD_PAIRS]
     rhs = np.random.default_rng(1).standard_normal((mesh.n_vertices, 3))
     for op in operators:
@@ -272,7 +259,6 @@ def test_lanczos_sees_only_the_deflated_operator(mesh, monkeypatch):
 
 def test_guard_retries_reuse_one_factorization(monkeypatch):
     mesh = build_flat_torus(8, 8, 1.0, 1.0)
-    mass = assemble_mass(mesh, np.zeros(mesh.n_vertices))
     real_eigsh, real_splu = spectral.eigsh, spectral.sparse_linalg.splu
     operators, factorizations = [], []
 
@@ -290,11 +276,11 @@ def test_guard_retries_reuse_one_factorization(monkeypatch):
 
     monkeypatch.setattr(spectral, "eigsh", first_attempt_misses)
     monkeypatch.setattr(spectral.sparse_linalg, "splu", counting_splu)
-    pairs = solve_spectrum(mesh.stiffness, mass, k=3)
+    vals, _ = solve_spectrum(mesh.stiffness, mesh.base_vertex_area, k=3)
     assert len(operators) == 2              # the first attempt was retried
     assert operators[0] is operators[1]
     assert factorizations == [(64, 64)]
-    assert len(pairs) == 4
+    assert len(vals) == 4
 
 
 def test_both_pencils_share_one_ordering(monkeypatch):
@@ -311,8 +297,9 @@ def test_both_pencils_share_one_ordering(monkeypatch):
     rng = np.random.default_rng(3)
     for _ in range(3):
         u = 0.2 * rng.standard_normal(mesh.n_vertices)
-        pairs = solve_spectrum(mesh.stiffness, assemble_mass(mesh, u), k=4)
-        snap = snapshot_from_pairs(mesh, pairs, u)
+        vals, vecs = solve_spectrum(mesh.stiffness,
+                                    mesh.base_vertex_area * np.exp(u), k=4)
+        snap = snapshot_from_spectrum(mesh, vals, vecs, u)
         snap.R = 1.0 + rng.standard_normal(mesh.n_vertices)
         perelman_lambda(mesh, snap)
     assert calls == [(mesh.n_vertices, mesh.n_vertices)]
@@ -347,8 +334,8 @@ ORDERING_MESHES = st.one_of(CONNECTED_MESHES,
 def test_nested_dissection_operator_properties(mesh, k, seed):
     n = mesh.n_vertices
     rng = np.random.default_rng(seed)
-    mass = assemble_mass(mesh, 0.3 * rng.standard_normal(n))
-    pencil = (mesh.stiffness - spectral._SIGMA * mass).tocsr()
+    mdiag = mesh.base_vertex_area * np.exp(0.3 * rng.standard_normal(n))
+    pencil = (mesh.stiffness - spectral._SIGMA * diags(mdiag)).tocsr()
 
     order = spectral.nested_dissection(pencil)
     assert np.array_equal(np.sort(order), np.arange(n))
@@ -363,11 +350,11 @@ def test_nested_dissection_operator_properties(mesh, k, seed):
 
     # Reference: scipy's own shift-invert path (COLAMD-ordered splu),
     # with two guard pairs so a cut cluster cannot spoil it.
-    ref = np.sort(eigsh(mesh.stiffness, k=min(k + 3, n - 1), M=mass,
+    ref = np.sort(eigsh(mesh.stiffness, k=min(k + 3, n - 1), M=diags(mdiag),
                         sigma=spectral._SIGMA, which="LM",
                         v0=spectral._start_vector(n), tol=0,
                         maxiter=10 * n)[0])
-    got = [p.lam for p in solve_spectrum(mesh.stiffness, mass, k)]
+    got, _ = solve_spectrum(mesh.stiffness, mdiag, k)
     # Zero eigenvalues (one per component) compare on the spectrum's scale.
     assert_allclose(got[1:], ref[1:k + 1], rtol=1e-12, atol=1e-12 * ref[-1])
 
@@ -377,7 +364,7 @@ def test_nested_dissection_operator_properties(mesh, k, seed):
 def test_mass_gram_matches_dense_reference(mesh, p, q, seed):
     n = mesh.n_vertices
     rng = np.random.default_rng(seed)
-    mdiag = assemble_mass(mesh, 0.3 * rng.standard_normal(n)).diagonal()
+    mdiag = mesh.base_vertex_area * np.exp(0.3 * rng.standard_normal(n))
     a = rng.standard_normal((n, p))
     b = rng.standard_normal((n, q))
     reference = a.T @ np.diag(mdiag) @ b
@@ -394,8 +381,7 @@ def test_block_normalization_and_residuals(mesh, k, seed):
     n = mesh.n_vertices
     k = min(k, n - 2)
     rng = np.random.default_rng(seed)
-    mass = assemble_mass(mesh, 0.3 * rng.standard_normal(n))
-    mdiag = mass.diagonal()
+    mdiag = mesh.base_vertex_area * np.exp(0.3 * rng.standard_normal(n))
     real_eigsh = spectral.eigsh
 
     def contaminated(*args, **kwargs):
@@ -408,20 +394,18 @@ def test_block_normalization_and_residuals(mesh, k, seed):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(spectral, "eigsh", contaminated)
-        pairs = solve_spectrum(mesh.stiffness, mass, k)
+        solved = solve_spectrum(mesh.stiffness, mdiag, k)
     area = mdiag.sum()
-    for pair in pairs:
-        f = pair.f
+    for f in solved[1].T:
         assert f[np.argmax(np.abs(f))] > 0
         assert abs(mdiag @ f**2 - 1.0) <= 1e-12
-    for pair in pairs[1:]:
-        assert abs(mdiag @ pair.f) <= 1e-12 * math.sqrt(area)
+    for f in solved[1][:, 1:].T:
+        assert abs(mdiag @ f) <= 1e-12 * math.sqrt(area)
 
     # Per-column reference norms, on the solved pairs and on a random
     # block far from any eigenpair.
     for vals, block in (
-            (np.array([p.lam for p in pairs]),
-             np.column_stack([p.f for p in pairs])),
+            solved,
             (rng.standard_normal(k + 1), rng.standard_normal((n, k + 1)))):
         reference = [relative_residual(mesh.stiffness, mdiag, lam, f)
                      for lam, f in zip(vals, block.T)]
@@ -430,13 +414,34 @@ def test_block_normalization_and_residuals(mesh, k, seed):
 
 
 def test_solve_spectrum_input_guards():
-    _, stiffness, mass = sphere_pencil(0)
+    _, stiffness, mdiag = sphere_pencil(0)
     with pytest.raises(ValueError, match="k"):
-        solve_spectrum(stiffness, mass, k=0)
+        solve_spectrum(stiffness, mdiag, k=0)
     with pytest.raises(ValueError, match="k"):
-        solve_spectrum(stiffness, mass, k=11)
+        solve_spectrum(stiffness, mdiag, k=11)
     with pytest.raises(ValueError, match="tol"):
-        solve_spectrum(stiffness, mass, k=1, tol=1e-15)
+        solve_spectrum(stiffness, mdiag, k=1, tol=1e-15)
+
+
+BAD_MASS_DIAGONALS = {
+    # The call form that passed the whole sparse mass matrix.
+    "sparse_matrix": lambda mdiag: diags(mdiag),
+    "wrong_length": lambda mdiag: mdiag[:-1],
+    "zero_entry": lambda mdiag: np.where(np.arange(len(mdiag)) == 3, 0.0,
+                                         mdiag),
+    "nan_entry": lambda mdiag: np.where(np.arange(len(mdiag)) == 3, np.nan,
+                                        mdiag),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_MASS_DIAGONALS))
+def test_solve_spectrum_rejects_bad_mass_diag_before_factoring(case,
+                                                               monkeypatch):
+    _, stiffness, mdiag = sphere_pencil(1)
+    counts = counted_lu(monkeypatch)
+    with pytest.raises(ValueError, match="mass_diag"):
+        solve_spectrum(stiffness, BAD_MASS_DIAGONALS[case](mdiag), k=2)
+    assert counts == {"factorizations": 0, "solves": 0}
 
 
 # ---------------------------------------------------------------------------
@@ -444,7 +449,8 @@ def test_solve_spectrum_input_guards():
 
 
 def curvature_snapshot(mesh, u):
-    snap = snapshot_from_pairs(mesh, [], u)
+    snap = snapshot_from_spectrum(mesh, np.zeros(0),
+                                  np.zeros((mesh.n_vertices, 0)), u)
     snap.R = scalar_curvature(mesh, u)
     return snap
 
@@ -589,7 +595,7 @@ def test_rough_perelman_shares_one_factor_with_its_fallback(seed,
 
 TOL_ENTRY_POINTS = {
     "solve_spectrum": lambda mesh, u, tol: solve_spectrum(
-        mesh.stiffness, assemble_mass(mesh, u), k=4, tol=tol),
+        mesh.stiffness, mesh.base_vertex_area * np.exp(u), k=4, tol=tol),
     "bottom_pair": lambda mesh, u, tol: perelman_lambda(
         mesh, curvature_snapshot(mesh, u), tol=tol),
 }
@@ -612,90 +618,75 @@ def test_unattainable_tol_is_rejected_before_factoring(entry, tol,
 
 
 def test_rayleigh_of_eigenfunction():
-    _, stiffness, mass = sphere_pencil(2)
-    pairs = solve_spectrum(stiffness, mass, k=1)
-    quotient = rayleigh_quotient(pairs[1].f, stiffness, mass)
-    assert_allclose(quotient, pairs[1].lam, rtol=1e-10)
+    _, stiffness, mdiag = sphere_pencil(2)
+    vals, vecs = solve_spectrum(stiffness, mdiag, k=1)
+    quotient = rayleigh_quotient(vecs[:, 1], stiffness, mdiag)
+    assert_allclose(quotient, vals[1], rtol=1e-10)
 
 
 def test_rayleigh_of_constant():
-    _, stiffness, mass = sphere_pencil(1)
+    _, stiffness, mdiag = sphere_pencil(1)
     n = stiffness.shape[0]
-    assert abs(rayleigh_quotient(np.ones(n), stiffness, mass)) < 1e-12
+    assert abs(rayleigh_quotient(np.ones(n), stiffness, mdiag)) < 1e-12
 
 
 def test_rayleigh_of_mixed_modes():
-    _, stiffness, mass = sphere_pencil(2)
-    pairs = solve_spectrum(stiffness, mass, k=4)
-    mixed = (pairs[1].f + pairs[4].f) / math.sqrt(2.0)
-    expected = 0.5 * (pairs[1].lam + pairs[4].lam)
-    assert_allclose(rayleigh_quotient(mixed, stiffness, mass), expected,
+    _, stiffness, mdiag = sphere_pencil(2)
+    vals, vecs = solve_spectrum(stiffness, mdiag, k=4)
+    mixed = (vecs[:, 1] + vecs[:, 4]) / math.sqrt(2.0)
+    expected = 0.5 * (vals[1] + vals[4])
+    assert_allclose(rayleigh_quotient(mixed, stiffness, mdiag), expected,
                     rtol=1e-8)
 
 
 def test_rayleigh_min_max():
-    _, stiffness, mass = sphere_pencil(2)
-    pairs = solve_spectrum(stiffness, mass, k=1)
-    mdiag = mass.diagonal()
+    _, stiffness, mdiag = sphere_pencil(2)
+    vals, _ = solve_spectrum(stiffness, mdiag, k=1)
     rng = np.random.default_rng(3)
     for _ in range(5):
         f = rng.standard_normal(stiffness.shape[0])
         f -= (mdiag @ f) / mdiag.sum()
-        assert rayleigh_quotient(f, stiffness, mass) >= pairs[1].lam - 1e-10
+        assert rayleigh_quotient(f, stiffness, mdiag) >= vals[1] - 1e-10
 
 
 def test_rayleigh_rejects_zero_vector():
-    _, stiffness, mass = sphere_pencil(0)
+    _, stiffness, mdiag = sphere_pencil(0)
     with pytest.raises(ValueError, match="M-norm"):
-        rayleigh_quotient(np.zeros(stiffness.shape[0]), stiffness, mass)
+        rayleigh_quotient(np.zeros(stiffness.shape[0]), stiffness, mdiag)
 
 
 # ---------------------------------------------------------------------------
 # tracking
 
 
-def test_track_restores_flipped_signs():
-    mesh, stiffness, mass = sphere_pencil(1)
-    pairs = solve_spectrum(stiffness, mass, k=4)
-    prev = snapshot_from_pairs(mesh, pairs)
-    flipped = [Eigenpair(p.index, p.lam, -p.f) for p in pairs]
-    tracked, overlaps = track(prev, flipped, mass.diagonal())
-    for original, recovered in zip(pairs, tracked):
-        assert np.array_equal(recovered.f, original.f)
+@given(permutation=st.permutations(range(5)),
+       signs=st.lists(st.sampled_from([-1.0, 1.0]), min_size=5, max_size=5))
+def test_track_restores_permutation_and_signs(permutation, signs):
+    _, stiffness, mdiag = sphere_pencil(1)
+    vals, vecs = solve_spectrum(stiffness, mdiag, k=4)
+    shuffled = vecs[:, permutation] * np.array(signs)
+    values, vectors, overlaps = track(vecs, vals[permutation], shuffled,
+                                      mdiag)
+    assert np.array_equal(values, vals)
+    assert np.array_equal(vectors, vecs)
     assert_allclose(overlaps, 1.0, rtol=1e-9)
 
 
-def test_track_restores_permutation():
-    mesh, stiffness, mass = sphere_pencil(1)
-    pairs = solve_spectrum(stiffness, mass, k=4)
-    prev = snapshot_from_pairs(mesh, pairs)
-    permutation = [3, 0, 4, 1, 2]
-    shuffled = [pairs[j] for j in permutation]
-    tracked, _ = track(prev, shuffled, mass.diagonal())
-    for i, pair in enumerate(tracked):
-        assert pair.index == i
-        assert pair.lam == pairs[i].lam
-        assert np.array_equal(pair.f, pairs[i].f)
-
-
 def test_track_reports_lost_branch():
-    mesh, stiffness, mass = sphere_pencil(1)
-    pairs = solve_spectrum(stiffness, mass, k=4)
-    prev = snapshot_from_pairs(mesh, pairs)
+    _, stiffness, mdiag = sphere_pencil(1)
+    vals, vecs = solve_spectrum(stiffness, mdiag, k=4)
     # Replace one branch with a vector orthogonal to everything tracked.
-    rogue = solve_spectrum(stiffness, mass, k=8)[8]
-    broken = list(pairs)
-    broken[2] = rogue
-    _, overlaps = track(prev, broken, mass.diagonal())
+    broken = vecs.copy()
+    broken[:, 2] = solve_spectrum(stiffness, mdiag, k=8)[1][:, 8]
+    _, _, overlaps = track(vecs, vals, broken, mdiag)
     assert overlaps.min() < 0.5
 
 
 def test_track_requires_equal_counts():
-    mesh, stiffness, mass = sphere_pencil(1)
-    pairs = solve_spectrum(stiffness, mass, k=3)
-    prev = snapshot_from_pairs(mesh, pairs)
+    _, stiffness, mdiag = sphere_pencil(1)
+    vals, vecs = solve_spectrum(stiffness, mdiag, k=3)
     with pytest.raises(ValueError, match="count"):
-        track(prev, pairs[:-1], mass.diagonal())
+        track(vecs, vals[:-1], vecs[:, :-1], mdiag)
 
 
 # ---------------------------------------------------------------------------
@@ -714,7 +705,7 @@ def test_cluster_detection_all_simple():
 def test_sphere_first_shell_is_a_cluster():
     # Icosahedral symmetry keeps the 3-dimensional first shell exactly
     # degenerate, so cluster detection must group indices 1..3.
-    _, stiffness, mass = sphere_pencil(2)
-    pairs = solve_spectrum(stiffness, mass, k=4)
-    clusters = eigenvalue_clusters([p.lam for p in pairs])
+    _, stiffness, mdiag = sphere_pencil(2)
+    vals, _ = solve_spectrum(stiffness, mdiag, k=4)
+    clusters = eigenvalue_clusters(vals)
     assert clusters[0] == [1, 2, 3]

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,7 +9,6 @@ from ricciflow.cli import initial_log_factor
 from ricciflow.config import PerturbationSpec
 from ricciflow.flow import ConformalState, FlowConfig, SpectrumTrajectory, run
 from ricciflow.mesh import (
-    assemble_mass,
     build_flat_torus,
     build_icosphere,
     integrate,
@@ -16,7 +16,7 @@ from ricciflow.mesh import (
     total_area,
 )
 from ricciflow.modelspaces import homogeneous_rate, round_sphere
-from ricciflow.spectral import Eigenpair, SpectrumSnapshot, solve_spectrum
+from ricciflow.spectral import SpectrumSnapshot, solve_spectrum
 from ricciflow.variation import (
     ClusterGaugeError,
     finite_difference_rate,
@@ -33,14 +33,14 @@ from ricciflow.variation import (
 def make_snapshot(mesh, u=None, k=6):
     """(mesh, snapshot) of the metric e^u g0."""
     u = np.zeros(mesh.n_vertices) if u is None else u
-    mass = assemble_mass(mesh, u)
-    pairs = solve_spectrum(mesh.stiffness, mass, k)
+    mdiag = mesh.base_vertex_area * np.exp(u)
+    values, vectors = solve_spectrum(mesh.stiffness, mdiag, k)
     curvature = scalar_curvature(mesh, u)
     area = total_area(mesh, u)
     return mesh, SpectrumSnapshot(
-        t=0.0, u=u, eigenpairs=pairs, area=area,
-        r_avg=integrate(mass.diagonal(), curvature) / area, R=curvature,
-        mass_diag=mass.diagonal())
+        t=0.0, u=u, eigenvalues=values, eigenvectors=vectors, area=area,
+        r_avg=integrate(mdiag, curvature) / area, R=curvature,
+        mass_diag=mdiag)
 
 
 @pytest.fixture(scope="module")
@@ -86,12 +86,11 @@ def test_round_sphere_rate_is_twice_lambda1(sphere_snapshot):
     # On the unit round sphere lambda_1 = 2 and R = 2, so the rate
     # lambda * int f^2 R dmu evaluates to 4.
     mesh, snap = sphere_snapshot
-    pair = snap.eigenpairs[1]
-    assert abs(pair.lam - 2.0) < 0.02
+    assert abs(snap.eigenvalues[1] - 2.0) < 0.02
     curvature = scalar_curvature(mesh, snap.u)
-    f2r = integrate(snap.mass_diag, pair.f**2 * curvature)
+    f2r = integrate(snap.mass_diag, snap.eigenvectors[:, 1]**2 * curvature)
     assert abs(f2r - 2.0) < 0.04
-    assert abs(rhs_unnormalized_surface(snap, pair) - 4.0) < 0.08
+    assert abs(rhs_unnormalized_surface(snap, 1) - 4.0) < 0.08
 
 
 def test_round_sphere_normalized_rate_vanishes(sphere_snapshot):
@@ -99,29 +98,25 @@ def test_round_sphere_normalized_rate_vanishes(sphere_snapshot):
     # branch is stationary: -r*lambda cancels the surface integral.
     _, snap = sphere_snapshot
     for index in (1, 2, 3):
-        pair = snap.eigenpairs[index]
-        assert abs(rhs_normalized_surface(snap, pair)) < 1e-3
+        assert abs(rhs_normalized_surface(snap, index)) < 1e-3
 
 
 def test_flat_torus_rates_vanish(torus_snapshot):
     _, snap = torus_snapshot
     for index in (1, 2):
-        pair = snap.eigenpairs[index]
-        assert abs(rhs_unnormalized_surface(snap, pair)) < 1e-9
-        assert abs(rhs_normalized_surface(snap, pair)) < 1e-9
+        assert abs(rhs_unnormalized_surface(snap, index)) < 1e-9
+        assert abs(rhs_normalized_surface(snap, index)) < 1e-9
 
 
 def test_rate_inputs_are_validated(sphere_snapshot):
     _, snap = sphere_snapshot
-    constant = snap.eigenpairs[0]
     for fn in (rhs_unnormalized_surface, rhs_normalized_surface):
         with pytest.raises(ValueError, match="nonconstant"):
-            fn(snap, constant)
-    pair = snap.eigenpairs[1]
-    scaled = Eigenpair(index=pair.index, lam=pair.lam, f=1.01 * pair.f)
+            fn(snap, 0)
+    scaled = dataclasses.replace(snap, eigenvectors=1.01 * snap.eigenvectors)
     for fn in (rhs_unnormalized_surface, rhs_normalized_surface):
         with pytest.raises(ValueError, match="M-norm"):
-            fn(snap, scaled)
+            fn(scaled, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -131,11 +126,10 @@ def test_rate_inputs_are_validated(sphere_snapshot):
 def fake_lambda_trajectory(times, lam_rows):
     traj = SpectrumTrajectory(mesh=None, mode="unnormalized")
     for t, lams in zip(times, lam_rows):
-        pairs = [Eigenpair(index=i, lam=lam, f=None)
-                 for i, lam in enumerate(lams)]
         traj.snapshots.append(SpectrumSnapshot(
-            t=t, u=np.zeros(1), eigenpairs=pairs, area=1.0,
-            r_avg=0.0, R=np.zeros(1), mass_diag=np.ones(1)))
+            t=t, u=np.zeros(1), eigenvalues=np.array(lams, dtype=float),
+            eigenvectors=None, area=1.0, r_avg=0.0, R=np.zeros(1),
+            mass_diag=np.ones(1)))
     return traj
 
 
