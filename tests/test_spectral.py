@@ -672,6 +672,24 @@ def test_track_restores_permutation_and_signs(permutation, signs):
     assert_allclose(overlaps, 1.0, rtol=1e-9)
 
 
+def test_track_restores_flipped_signs():
+    _, stiffness, mdiag = sphere_pencil(1)
+    vals, vecs = solve_spectrum(stiffness, mdiag, k=4)
+    _, vectors, overlaps = track(vecs, vals, -vecs, mdiag)
+    assert np.array_equal(vectors, vecs)
+    assert_allclose(overlaps, 1.0, rtol=1e-9)
+
+
+def test_track_restores_permutation():
+    _, stiffness, mdiag = sphere_pencil(1)
+    vals, vecs = solve_spectrum(stiffness, mdiag, k=4)
+    permutation = [3, 0, 4, 1, 2]
+    values, vectors, _ = track(vecs, vals[permutation], vecs[:, permutation],
+                               mdiag)
+    assert np.array_equal(values, vals)
+    assert np.array_equal(vectors, vecs)
+
+
 def test_track_reports_lost_branch():
     _, stiffness, mdiag = sphere_pencil(1)
     vals, vecs = solve_spectrum(stiffness, mdiag, k=4)
