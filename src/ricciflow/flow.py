@@ -156,8 +156,8 @@ def step(state, cfg, dt):
     """Advance one classical RK4 step of length dt.
 
     The first stage reads ``state``; the other three stages build a
-    state for their own intermediate factor.  A non-finite stage or
-    result raises ``FlowBlowUpError`` carrying ``state``.
+    state for their own intermediate factor.  A non-finite stage, result
+    or result area raises ``FlowBlowUpError`` carrying ``state``.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -173,7 +173,10 @@ def step(state, cfg, dt):
         k3 = stage(u + 0.5 * dt * k2)
         k4 = stage(u + dt * k3)
         u_new = u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        return ConformalState(mesh, u_new, state.t + dt)
+        new = ConformalState(mesh, u_new, state.t + dt)
+        if math.isfinite(new.area):
+            return new
+        raise ValueError(f"area {new.area} is not finite")
     except ValueError as exc:
         raise FlowBlowUpError(
             f"non-finite conformal factor in step at t={state.t:.6g}",

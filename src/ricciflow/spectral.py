@@ -7,10 +7,9 @@ overlap matching.  M is passed as its per-vertex diagonal, and a
 spectrum is a value array with one eigenvector block, a column per
 value.  Both pencils are factored by ``shift_invert``, at most once per
 solve, in a nested-dissection order computed once per sparsity pattern.
-The bottom pair of the Perelman pencil in ``variation`` comes from
-``bottom_pair``: SciPy's LOBPCG preconditioned by that pencil's
-shift-invert operator, with the Lanczos call the Laplace pencil uses
-(``lowest_pairs``) as its fallback.
+As M is diagonal, ARPACK runs in standard mode on one symmetric operator
+(``symmetric_inverse``); the Laplace constant mode is deflated from it
+by one symmetric projection.
 
 The package's own products of per-vertex eigenvector blocks are
 elementwise reductions (``mass_gram``, ``_relative_residuals``), never
@@ -114,9 +113,9 @@ def solve_spectrum(stiffness, mass_diag, k, tol=DEFAULT_TOL):
     signed so that their largest-magnitude entry is positive.
 
     ``L - sigma M`` is factored once (see ``shift_invert``), and every
-    attempt reuses that factor with c deflated: right-hand sides are
-    projected off M c and solutions M-orthogonally off c.  ARPACK is
-    asked for the k + guards nonconstant pairs only.
+    attempt reuses that factor through one symmetric operator with c
+    deflated (see ``symmetric_inverse``).  ARPACK is asked for the
+    k + guards nonconstant pairs only.
 
     The first attempt has no guard pairs.  When its set ends inside a
     degenerate cluster (round spheres, flat tori), the cut pair can come
@@ -159,22 +158,23 @@ def solve_spectrum(stiffness, mass_diag, k, tol=DEFAULT_TOL):
             and np.all((mass_diag > 0) & (mass_diag < np.inf))):
         raise ValueError(f"mass_diag must be a finite, positive ({n},) array")
     mdiag = mass_diag
-    area = mdiag.sum()
-    const = np.full((n, 1), 1.0 / np.sqrt(area))
-    factor = shift_invert(stiffness - _SIGMA * sparse.diags(mdiag))
-
-    def deflated_solve(rhs):
-        # P (L - sigma M)^-1 P^T rhs, P x = x - c c^T M x, c c^T = 1/area.
-        rhs = rhs.reshape(n)
-        x = factor.matvec(rhs - mdiag * (np.einsum("i->", rhs) / area))
-        return x - np.einsum("i,i->", mdiag, x) / area
-
-    op_inv = LinearOperator((n, n), matvec=deflated_solve, dtype=np.float64)
+    const = np.full((n, 1), 1.0 / np.sqrt(mdiag.sum()))
+    solve = shift_invert(stiffness - _SIGMA * sparse.diags(mdiag))
+    operator = symmetric_inverse(solve, mdiag, deflate=True)
     misses = []
     for guards in _GUARD_PAIRS:
         if k + 1 + guards >= n:
             break
-        vals, block = _solve_once(stiffness, mdiag, op_inv, const, k, guards)
+        vals, vecs = lowest_pairs(stiffness, mdiag, _SIGMA, operator,
+                                  k + guards, _V0_SEED, "Laplace pencil")
+        vals = np.concatenate([[0.0], vals[:k]])
+        block = np.asfortranarray(np.hstack([const, vecs[:, :k]]))
+        modes = block[:, 1:]
+        # Pairwise column sums; a sequential one leaves ~1e-15 in ~0.
+        modes -= const * np.sum(const * mdiag[:, None] * modes, axis=0)
+        modes /= np.sqrt(np.diagonal(mass_gram(modes, modes, mdiag)))
+        peaks = np.argmax(np.abs(modes), axis=0)
+        modes *= np.where(modes[peaks, np.arange(k)] < 0, -1.0, 1.0)
         worst = float(_relative_residuals(stiffness, mdiag, vals, block).max())
         if worst <= tol:
             return vals, block
@@ -207,34 +207,58 @@ def _relative_residuals(matrix, mdiag, vals, block):
                    / np.einsum("ip,ip->p", mf, mf))
 
 
-def lowest_pairs(pencil, mdiag, sigma, op_inv, nev, seed, what):
+def symmetric_inverse(solve, mdiag, deflate=False):
+    """S = M^1/2 (A - sigma M)^-1 M^1/2, M = diag(mdiag), for
+    ``lowest_pairs``, from the ``shift_invert`` solve of A - sigma M.
+
+    With g = M^1/2 f, A f = lam M f is the standard symmetric problem
+    S g = theta g, theta = 1 / (lam - sigma) (ARPACK Users' Guide,
+    Lehoucq, Sorensen and Yang, SIAM 1998, 4.2).  ``deflate`` applies
+    I - q q^T on both sides of S, q = M^1/2 c for the unit constant c.
+    """
+    n, root = len(mdiag), np.sqrt(mdiag)
+    q = root / np.sqrt(mdiag.sum())
+
+    def project(x):
+        return x - q * np.einsum("i,i->", q, x) if deflate else x
+
+    def matvec(x):
+        return project(root * solve(root * project(x.reshape(n))))
+
+    return LinearOperator((n, n), matvec=matvec, dtype=np.float64)
+
+
+def lowest_pairs(pencil, mdiag, sigma, operator, nev, seed, what):
     """The ``nev`` eigenpairs of pencil f = lam diag(mdiag) f nearest
     ``sigma``, by shift-invert Lanczos, as ascending ``(vals, vecs)``.
 
-    ``op_inv`` applies (pencil - sigma M)^-1 (see ``shift_invert``); the
-    caller builds it, so one factorization serves several calls.  The
-    start vector is drawn from ``seed``.  Residuals are not checked
+    ``operator`` is the pencil's ``symmetric_inverse`` S, built by the
+    caller so one factorization serves several calls.  ARPACK's largest
+    theta of S map back as lam = sigma + 1/theta, f = g / sqrt(mdiag).
+    The start vector is drawn from ``seed``.  Residuals are not checked
     here.  On non-convergence the ``EigenSolverError`` carries the
     worst relative residual of the pairs ARPACK did converge, or None;
     ``what`` names the pencil in the message.
     """
-    n = pencil.shape[0]
+    n, root = pencil.shape[0], np.sqrt(mdiag)[:, None]
     try:
-        vals, vecs = eigsh(pencil, k=nev, M=sparse.diags(mdiag), sigma=sigma,
-                           OPinv=op_inv, which="LM", v0=_start_vector(n, seed),
-                           maxiter=10 * n, tol=0)
+        theta, g = eigsh(operator, k=nev, which="LA",
+                         v0=root[:, 0] * _start_vector(n, seed),
+                         maxiter=10 * n, tol=0)
     except ArpackNoConvergence as exc:
         best = None
         if exc.eigenvalues is not None and len(exc.eigenvalues):
-            best = float(_relative_residuals(pencil, mdiag, exc.eigenvalues,
-                                             exc.eigenvectors).max())
+            best = float(_relative_residuals(
+                pencil, mdiag, sigma + 1.0 / exc.eigenvalues,
+                exc.eigenvectors / root).max())
         raise EigenSolverError(
             f"{what}: Lanczos iteration did not converge within {10 * n} "
             f"iterations ({exc})", best_residual=best) from exc
     except ArpackError as exc:
         raise EigenSolverError(f"{what}: eigensolver failure: {exc}") from exc
+    vals = sigma + 1.0 / theta
     order = np.argsort(vals)
-    return vals[order], vecs[:, order]
+    return vals[order], g[:, order] / root
 
 
 def bottom_pair(pencil, mdiag, sigma, tol, seed, what):
@@ -249,14 +273,14 @@ def bottom_pair(pencil, mdiag, sigma, tol, seed, what):
     first application, so a pencil whose bottom eigenvector is the
     constant (zero curvature) is solved without a factorization.  When
     LOBPCG misses within ``_LOBPCG_STEPS`` operator solves, the same
-    operator serves ``lowest_pairs`` with ``seed``.  f has unit M-norm,
+    factor serves ``lowest_pairs`` with ``seed``.  f has unit M-norm,
     and the pair meets ||A f - mu M f|| <= tol * ||M f||; otherwise, or
     when Lanczos does not converge, ``EigenSolverError`` is raised with
     that relative residual (or None) as ``best_residual``; ``what``
     names the pencil.
     """
     _check_tol(tol)
-    operator = functools.cache(
+    solve = functools.cache(
         lambda: shift_invert(pencil - sigma * sparse.diags(mdiag)))
     with warnings.catch_warnings():
         # A miss is judged by the contract below, not by LOBPCG's warning.
@@ -266,7 +290,7 @@ def bottom_pair(pencil, mdiag, sigma, tol, seed, what):
         # applies the preconditioner at most maxiter + 1 times.
         _, block = lobpcg(pencil, np.ones((len(mdiag), 1)),
                           B=sparse.diags(mdiag),
-                          M=lambda r: operator() @ r,
+                          M=lambda r: solve()(r),
                           tol=tol * np.sqrt(mdiag.min()),
                           largest=False, maxiter=_LOBPCG_STEPS - 1)
     f = block[:, 0] / np.sqrt(mass_gram(block, block, mdiag)[0, 0])
@@ -274,7 +298,8 @@ def bottom_pair(pencil, mdiag, sigma, tol, seed, what):
     if _relative_residuals(pencil, mdiag, np.array([mu]),
                            f[:, None])[0] <= tol:
         return mu, f
-    vals, vecs = lowest_pairs(pencil, mdiag, sigma, operator(), 1, seed, what)
+    vals, vecs = lowest_pairs(pencil, mdiag, sigma,
+                              symmetric_inverse(solve(), mdiag), 1, seed, what)
     worst = float(_relative_residuals(pencil, mdiag, vals, vecs)[0])
     if worst > tol:
         raise EigenSolverError(
@@ -283,28 +308,8 @@ def bottom_pair(pencil, mdiag, sigma, tol, seed, what):
     return float(vals[0]), vecs[:, 0]
 
 
-def _solve_once(stiffness, mdiag, op_inv, const, k, guards):
-    """One shift-invert Lanczos solve for k + guards nonconstant pairs.
-
-    Returns ``(vals, block)`` for pairs 0..k as ``solve_spectrum``
-    documents them, ``const`` being the (V, 1) constant column that
-    ``op_inv`` deflates.  Residuals are not checked; the guard pairs are
-    dropped.
-    """
-    vals, vecs = lowest_pairs(stiffness, mdiag, _SIGMA, op_inv, k + guards,
-                              _V0_SEED, "Laplace pencil")
-
-    block = np.asfortranarray(np.hstack([const, vecs[:, :k]]))
-    modes = block[:, 1:]
-    modes -= const * mass_gram(const, modes, mdiag)
-    modes /= np.sqrt(np.diagonal(mass_gram(modes, modes, mdiag)))
-    peaks = np.argmax(np.abs(modes), axis=0)
-    modes *= np.where(modes[peaks, np.arange(k)] < 0, -1.0, 1.0)
-    return np.concatenate([[0.0], vals[:k]]), block
-
-
 def shift_invert(pencil):
-    """Operator b -> pencil^-1 b, for ``eigsh``'s ``OPinv``.
+    """Solve b -> pencil^-1 b, for a (V,) vector or a (V, p) block.
 
     ``pencil`` is a symmetric positive definite sparse matrix, already
     shifted.  It is factored once, as P pencil P^T in the nested-dissection
@@ -330,7 +335,7 @@ def shift_invert(pencil):
         x[order] = lu.solve(rhs[order])
         return x
 
-    return LinearOperator(pencil.shape, matvec=solve, dtype=np.float64)
+    return solve
 
 
 class _PatternOrdering:
@@ -515,18 +520,10 @@ def eigenvalue_clusters(values):
     """
     values = np.asarray(values, dtype=np.float64)
     groups = []
-    current = None
-    for i in range(1, len(values)):
-        if current is None:
-            current = [i]
+    for i, (lo, hi) in enumerate(zip(values, values[1:]), start=1):
+        scale = max(abs(lo), abs(hi), 1e-300)
+        if groups and (hi - lo) <= CLUSTER_REL_GAP * scale:
+            groups[-1].append(i)
         else:
-            lo, hi = values[i - 1], values[i]
-            scale = max(abs(lo), abs(hi), 1e-300)
-            if (hi - lo) <= CLUSTER_REL_GAP * scale:
-                current.append(i)
-            else:
-                groups.append(current)
-                current = [i]
-    if current is not None:
-        groups.append(current)
+            groups.append([i])
     return groups

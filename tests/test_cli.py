@@ -242,24 +242,33 @@ def test_solver_failure_flushes_partial_outputs(tmp_path, capsys):
 
 def test_perelman_failure_flushes_partial_outputs(tmp_path, capsys,
                                                  monkeypatch):
-    real_eigsh = spectral.eigsh
-    expected = []
+    real_eigsh, real_lowest_pairs = spectral.eigsh, spectral.lowest_pairs
+    pencils, expected = [], []
 
-    def no_convergence(pencil, **kwargs):
+    def recording(pencil, mdiag, sigma, *args):
+        pencils.append((pencil, mdiag, sigma))
+        return real_lowest_pairs(pencil, mdiag, sigma, *args)
+
+    def no_convergence(operator, **kwargs):
         if kwargs["k"] != 1:  # a Laplace solve asks for spectrum_k + 1 pairs
-            return real_eigsh(pencil, **kwargs)
-        vals, vecs = real_eigsh(pencil, **dict(kwargs, return_eigenvectors=True))
-        f = vecs[:, 0] + 1e-3 * np.random.default_rng(0).standard_normal(
+            return real_eigsh(operator, **kwargs)
+        # Lanczos sees theta = 1 / (mu - sigma) and g = M^1/2 f.
+        pencil, mdiag, sigma = pencils[-1]
+        vals, vecs = real_eigsh(operator,
+                                **dict(kwargs, return_eigenvectors=True))
+        g = vecs[:, 0] + 1e-3 * np.random.default_rng(0).standard_normal(
             len(vecs))
-        mf = kwargs["M"] @ f
-        expected.append(np.linalg.norm(pencil @ f - vals[0] * mf)
+        f, mu = g / np.sqrt(mdiag), sigma + 1.0 / vals[0]
+        mf = mdiag * f
+        expected.append(np.linalg.norm(pencil @ f - mu * mf)
                         / np.linalg.norm(mf))
-        raise ArpackNoConvergence("no convergence", vals, f[:, None])
+        raise ArpackNoConvergence("no convergence", vals, g[:, None])
 
     # A column that misses the contract; the constant start would not.
     monkeypatch.setattr(spectral, "lobpcg", lambda pencil, start, **kwargs: (
         np.zeros(1), np.random.default_rng(0).standard_normal(start.shape)))
     monkeypatch.setattr(spectral, "eigsh", no_convergence)
+    monkeypatch.setattr(spectral, "lowest_pairs", recording)
     config = parse_config(TORUS_VERIFY)
     config.output_dir = str(tmp_path / "run")
     assert run_experiment(config, quiet=True) == 2

@@ -294,7 +294,7 @@ def test_unstable_run_returns_partial_trajectory():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         traj = run(ConformalState(mesh, u0), cfg)
-    assert traj.stopping_reason == "solver_failure"
+    assert traj.stopping_reason == "nonfinite_state"
     assert len(traj.snapshots) == 1
     assert traj.snapshots[0].t == 0.0
     assert np.all(np.isfinite(traj.snapshots[0].u))

@@ -182,7 +182,10 @@ def test_no_convergence_reports_converged_pair_residuals(monkeypatch):
                    for lam, f in zip(vals, vecs.T))
 
     def no_convergence(*args, **kwargs):
-        raise ArpackNoConvergence("no convergence", vals, vecs)
+        # The same pairs as ARPACK's standard form sees them:
+        # theta = 1 / (lam - sigma) and g = M^1/2 f.
+        raise ArpackNoConvergence("no convergence", 1.0 / (vals + 1e-2),
+                                  np.sqrt(mdiag)[:, None] * vecs)
 
     monkeypatch.setattr(spectral, "eigsh", no_convergence)
     with pytest.raises(EigenSolverError, match="did not converge") as info:
@@ -230,7 +233,8 @@ def test_constant_pair_is_exact(mesh):
 @SMALL_CLOSED_MESHES
 def test_lanczos_sees_only_the_deflated_operator(mesh, monkeypatch):
     # Each attempt asks ARPACK for k + guards pairs, none of them the
-    # constant, through an operator whose range is M-orthogonal to it.
+    # constant, through an operator whose range, mapped back by
+    # f = g / sqrt(m), is M-orthogonal to it.
     k = 4
     mdiag = mesh.base_vertex_area
     const = np.full(mesh.n_vertices, 1.0 / math.sqrt(mdiag.sum()))
@@ -239,11 +243,12 @@ def test_lanczos_sees_only_the_deflated_operator(mesh, monkeypatch):
 
     def first_attempts_miss(*args, **kwargs):
         requested.append(kwargs["k"])
-        operators.append(kwargs["OPinv"])
+        operators.append(args[0])
         vals, vecs = real_eigsh(*args, **kwargs)
         if len(requested) < len(spectral._GUARD_PAIRS):
+            # The smallest eigenvalue is the largest theta.
             noise = np.random.default_rng(0).standard_normal(len(vecs))
-            vecs[:, 0] += 1e-3 * noise
+            vecs[:, np.argmax(vals)] += 1e-3 * noise
         return vals, vecs
 
     monkeypatch.setattr(spectral, "eigsh", first_attempts_miss)
@@ -253,7 +258,7 @@ def test_lanczos_sees_only_the_deflated_operator(mesh, monkeypatch):
     rhs = np.random.default_rng(1).standard_normal((mesh.n_vertices, 3))
     for op in operators:
         for b in rhs.T:
-            x = op.matvec(b)
+            x = op.matvec(b) / np.sqrt(mdiag)
             assert abs(mdiag @ (const * x)) <= 1e-14 * math.sqrt(mdiag @ x**2)
 
 
@@ -263,11 +268,12 @@ def test_guard_retries_reuse_one_factorization(monkeypatch):
     operators, factorizations = [], []
 
     def first_attempt_misses(*args, **kwargs):
-        operators.append(kwargs["OPinv"])
+        operators.append(args[0])
         vals, vecs = real_eigsh(*args, **kwargs)
         if len(operators) == 1:
+            # The largest eigenvalue is the smallest theta = 1/(lam - sigma).
             noise = np.random.default_rng(0).standard_normal(len(vecs))
-            vecs[:, np.argmax(vals)] += 1e-3 * noise
+            vecs[:, np.argmin(vals)] += 1e-3 * noise
         return vals, vecs
 
     def counting_splu(*args, **kwargs):
@@ -344,7 +350,7 @@ def test_nested_dissection_operator_properties(mesh, k, seed):
     # is out of reach for any LU once cond(pencil) passes ~1e4, as it does
     # on thin tori.
     b = rng.standard_normal(n)
-    x = spectral.shift_invert(pencil).matvec(b)
+    x = spectral.shift_invert(pencil)(b)
     scale = sparse_norm(pencil) * np.linalg.norm(x) + np.linalg.norm(b)
     assert np.linalg.norm(pencil @ x - b) <= 1e-12 * scale
 
@@ -387,9 +393,12 @@ def test_block_normalization_and_residuals(mesh, k, seed):
     def contaminated(*args, **kwargs):
         # Constant offsets, scales and signs that the block normalization
         # must remove; the offsets alone break the residual contract.
+        # Lanczos works on g = M^1/2 f, so a constant offset of f is an
+        # offset along sqrt(m) there.
         vals, vecs = real_eigsh(*args, **kwargs)
         m = vecs.shape[1]
-        return vals, ((vecs + rng.uniform(-1.0, 1.0, m))
+        offsets = np.sqrt(mdiag)[:, None] * rng.uniform(-1.0, 1.0, m)
+        return vals, ((vecs + offsets)
                       * rng.uniform(0.5, 3.0, m) * rng.choice([-1.0, 1.0], m))
 
     with pytest.MonkeyPatch.context() as patch:
@@ -411,6 +420,33 @@ def test_block_normalization_and_residuals(mesh, k, seed):
                      for lam, f in zip(vals, block.T)]
         got = spectral._relative_residuals(mesh.stiffness, mdiag, vals, block)
         assert_allclose(got, reference, rtol=1e-13)
+
+
+@given(mesh=CONNECTED_MESHES, k=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+def test_symmetric_inverse_is_the_standard_form_of_the_pencil(mesh, k, seed):
+    n = mesh.n_vertices
+    k = min(k, n - 2)
+    rng = np.random.default_rng(seed)
+    mdiag = mesh.base_vertex_area * np.exp(0.3 * rng.standard_normal(n))
+    solve = spectral.shift_invert(mesh.stiffness
+                                  - spectral._SIGMA * diags(mdiag))
+    plain = spectral.symmetric_inverse(solve, mdiag)
+    deflated = spectral.symmetric_inverse(solve, mdiag, deflate=True)
+
+    x, y = rng.standard_normal((2, n))
+    for op in (plain, deflated):
+        sx, sy = op.matvec(x), op.matvec(y)
+        assert abs(x @ sy - y @ sx) <= 1e-12 * abs(x) @ abs(sy)
+
+    q = np.sqrt(mdiag) / np.sqrt(mdiag.sum())
+    assert (np.linalg.norm(deflated.matvec(q))
+            <= 1e-12 * np.linalg.norm(plain.matvec(q)))
+
+    vals, _ = spectral.lowest_pairs(mesh.stiffness, mdiag, spectral._SIGMA,
+                                    deflated, k, spectral._V0_SEED, "test")
+    reference = eigh(mesh.stiffness.toarray(), np.diag(mdiag),
+                     eigvals_only=True)
+    assert_allclose(vals, reference[1:k + 1], rtol=1e-10)
 
 
 def test_solve_spectrum_input_guards():
