@@ -11,6 +11,7 @@ from .flow import (
     ConformalState,
     FlowBlowUpError,
     FlowConfig,
+    SpectrumSnapshot,
     SpectrumTrajectory,
     run,
     scalar_curvature_evolution_residual,
@@ -31,7 +32,6 @@ from .mesh import (
 )
 from .spectral import (
     EigenSolverError,
-    SpectrumSnapshot,
     eigenvalue_clusters,
     rayleigh_quotient,
     solve_spectrum,

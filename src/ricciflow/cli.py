@@ -202,7 +202,7 @@ def _base_summary(config, traj):
     for snap in traj.snapshots:
         try:
             perelman_seq.append(variation.perelman_lambda(
-                mesh, snap, config.flow.solver_tol))
+                snap, config.flow.solver_tol))
         except EigenSolverError as exc:
             summary.setdefault("failure", {
                 "t": snap.t, "message": str(exc),

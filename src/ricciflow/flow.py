@@ -6,9 +6,9 @@ g(t) = e^u g0.  The unnormalized flow is du/dt = -R; the normalized
 flow du/dt = r - R holds the total area fixed, with r the
 area-averaged scalar curvature.  Time stepping is classical RK4.  Each
 state computes its curvature R once, and that R serves as the first RK4
-stage, the stop checks and the recorded snapshot; its vertex areas
-(the lumped mass diagonal) likewise serve the area, r and the recorded
-spectrum.
+stage and the stop checks; its vertex areas (the lumped mass diagonal)
+likewise serve the area, r and the spectrum.  A recorded snapshot is the
+state it was solved on plus its spectrum.
 """
 
 import math
@@ -22,7 +22,6 @@ from .mesh import scalar_curvature
 from .spectral import (
     TRACKING_OVERLAP_FLOOR,
     EigenSolverError,
-    SpectrumSnapshot,
     solve_spectrum,
     track,
 )
@@ -45,21 +44,21 @@ class FlowBlowUpError(RuntimeError):
 class ConformalState:
     """Flow state: mesh, per-vertex log conformal factor, time.
 
-    ``curvature`` is the scalar curvature of e^u g0, computed (and u
-    validated) once when the state is built.  ``mass_diag``, the vertex
-    areas base_vertex_area * e^u, is computed on first use; ``area`` and
-    the area-averaged curvature ``r_avg`` read it.  ``u`` must not be
+    ``R`` is the scalar curvature of e^u g0, computed (and u validated)
+    once when the state is built.  ``mass_diag``, the vertex areas
+    base_vertex_area * e^u, is computed on first use; ``area`` and the
+    area-averaged curvature ``r_avg`` read it.  ``u`` must not be
     modified in place afterwards.
     """
 
     mesh: object
     u: np.ndarray
     t: float = 0.0
-    curvature: np.ndarray = field(init=False, repr=False)
+    R: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.u = np.asarray(self.u, dtype=np.float64)
-        self.curvature = scalar_curvature(self.mesh, self.u)
+        self.R = scalar_curvature(self.mesh, self.u)
 
     @cached_property
     def mass_diag(self):
@@ -71,8 +70,33 @@ class ConformalState:
 
     @property
     def r_avg(self):
-        total = np.einsum("i,i->", self.curvature, self.mass_diag)
+        total = np.einsum("i,i->", self.R, self.mass_diag)
         return float(total) / self.area
+
+    @property
+    def R_min(self):
+        return float(self.R.min())
+
+    @property
+    def R_max(self):
+        return float(self.R.max())
+
+
+@dataclass(kw_only=True)
+class SpectrumSnapshot(ConformalState):
+    """A recorded state with the spectrum solved on its metric.
+
+    ``eigenvalues`` (k + 1,) and ``eigenvectors`` (V, k + 1) are the
+    tracked branches 0..k: column i is branch i's eigenfunction, of unit
+    M-norm for M = diag(``mass_diag``), with eigenvalue
+    ``eigenvalues[i]``.  ``overlaps`` are the tracking overlaps with the
+    previous snapshot.
+    """
+
+    eigenvalues: np.ndarray
+    eigenvectors: np.ndarray
+    overlaps: np.ndarray = None
+    tracking_warnings: list = field(default_factory=list)
 
 
 @dataclass
@@ -148,8 +172,8 @@ class SpectrumTrajectory:
 
 def _velocity(state, mode):
     if mode == "normalized":
-        return state.r_avg - state.curvature
-    return -state.curvature
+        return state.r_avg - state.R
+    return -state.R
 
 
 def step(state, cfg, dt):
@@ -215,14 +239,11 @@ def _record(state, cfg, prev_snapshot):
         if overlap < TRACKING_OVERLAP_FLOOR
     ]
     return SpectrumSnapshot(
+        mesh=state.mesh,
+        u=state.u,
         t=state.t,
-        u=state.u.copy(),
         eigenvalues=values,
         eigenvectors=_unpinned_copy(vectors),
-        area=state.area,
-        r_avg=state.r_avg,
-        R=state.curvature,
-        mass_diag=mass_diag,
         overlaps=overlaps,
         tracking_warnings=warnings,
     )
@@ -259,19 +280,17 @@ def run(initial, cfg):
         snapshot = _record(initial, cfg, None)
         traj.snapshots.append(snapshot)
         while True:
-            curvature = state.curvature
-            max_abs_r = float(np.max(np.abs(curvature)))
-            area = state.area
+            r_min, r_max = state.R_min, state.R_max
+            max_abs_r = max(-r_min, r_max)
 
-            if area < floor:
+            if state.area < floor:
                 reason = "area_floor"
                 break
             if max_abs_r > cfg.curvature_cap:
                 reason = "curvature_cap"
                 break
             if (cfg.stop_when_round > 0.0
-                    and float(curvature.max() - curvature.min())
-                    < cfg.stop_when_round):
+                    and r_max - r_min < cfg.stop_when_round):
                 reason = "converged_round"
                 break
             if state.t >= cfg.t_end - _T_SLOP:

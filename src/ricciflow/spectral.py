@@ -5,11 +5,12 @@ stiffness / lumped mass pencil via shift-inverted Lanczos iteration, and
 keeps eigenbranch identities consistent between nearby metrics by
 overlap matching.  M is passed as its per-vertex diagonal, and a
 spectrum is a value array with one eigenvector block, a column per
-value.  Both pencils are factored by ``shift_invert``, at most once per
-solve, in a nested-dissection order computed once per sparsity pattern.
-As M is diagonal, ARPACK runs in standard mode on one symmetric operator
-(``symmetric_inverse``); the Laplace constant mode is deflated from it
-by one symmetric projection.
+value; ``flow.SpectrumSnapshot`` keeps one beside the metric it was
+solved on.  Both pencils are factored by ``shift_invert``, at most once
+per solve, in a nested-dissection order computed once per sparsity
+pattern.  As M is diagonal, ARPACK runs in standard mode on one
+symmetric operator (``symmetric_inverse``); the Laplace constant mode is
+deflated from it by one symmetric projection.
 
 The package's own products of per-vertex eigenvector blocks are
 elementwise reductions (``mass_gram``, ``_relative_residuals``), never
@@ -19,9 +20,7 @@ after ARPACK, while SciPy's own pool still spins, costs far more than
 the product itself.  SciPy's LOBPCG internals are outside this rule.
 """
 
-import functools
 import warnings
-from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse.linalg as sparse_linalg
@@ -60,40 +59,9 @@ class EigenSolverError(RuntimeError):
         self.best_residual = best_residual
 
 
-@dataclass
-class SpectrumSnapshot:
-    """Spectrum and per-vertex scalar curvature R of one recorded flow time.
-
-    ``eigenvalues`` (k + 1,) and ``eigenvectors`` (V, k + 1) are the
-    tracked branches 0..k: column i is branch i's eigenfunction, of unit
-    M-norm, with eigenvalue ``eigenvalues[i]``.  ``mass_diag`` is the
-    lumped mass diagonal base_vertex_area * e^u that the spectrum was
-    solved with.  The mesh is not carried; it belongs to the trajectory.
-    """
-
-    t: float
-    u: np.ndarray
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-    area: float
-    r_avg: float
-    R: np.ndarray
-    mass_diag: np.ndarray
-    overlaps: np.ndarray = None
-    tracking_warnings: list = field(default_factory=list)
-
-    @property
-    def R_min(self):
-        return float(self.R.min())
-
-    @property
-    def R_max(self):
-        return float(self.R.max())
-
-
-def _start_vector(n, seed=_V0_SEED):
+def _start_vector(n):
     # Fixed pseudo-random start makes repeated solves bit-identical.
-    return np.random.default_rng(seed).standard_normal(n)
+    return np.random.default_rng(_V0_SEED).standard_normal(n)
 
 
 def _check_tol(tol):
@@ -166,7 +134,7 @@ def solve_spectrum(stiffness, mass_diag, k, tol=DEFAULT_TOL):
         if k + 1 + guards >= n:
             break
         vals, vecs = lowest_pairs(stiffness, mdiag, _SIGMA, operator,
-                                  k + guards, _V0_SEED, "Laplace pencil")
+                                  k + guards, "Laplace pencil")
         vals = np.concatenate([[0.0], vals[:k]])
         block = np.asfortranarray(np.hstack([const, vecs[:, :k]]))
         modes = block[:, 1:]
@@ -228,22 +196,23 @@ def symmetric_inverse(solve, mdiag, deflate=False):
     return LinearOperator((n, n), matvec=matvec, dtype=np.float64)
 
 
-def lowest_pairs(pencil, mdiag, sigma, operator, nev, seed, what):
+def lowest_pairs(pencil, mdiag, sigma, operator, nev, what):
     """The ``nev`` eigenpairs of pencil f = lam diag(mdiag) f nearest
     ``sigma``, by shift-invert Lanczos, as ascending ``(vals, vecs)``.
 
     ``operator`` is the pencil's ``symmetric_inverse`` S, built by the
     caller so one factorization serves several calls.  ARPACK's largest
     theta of S map back as lam = sigma + 1/theta, f = g / sqrt(mdiag).
-    The start vector is drawn from ``seed``.  Residuals are not checked
-    here.  On non-convergence the ``EigenSolverError`` carries the
-    worst relative residual of the pairs ARPACK did converge, or None;
-    ``what`` names the pencil in the message.
+    The start vector is sqrt(mdiag) times ``_start_vector``, the same for
+    every pencil.  Residuals are not checked here.  On non-convergence
+    the ``EigenSolverError`` carries the worst relative residual of the
+    pairs ARPACK did converge, or None; ``what`` names the pencil in the
+    message.
     """
     n, root = pencil.shape[0], np.sqrt(mdiag)[:, None]
     try:
         theta, g = eigsh(operator, k=nev, which="LA",
-                         v0=root[:, 0] * _start_vector(n, seed),
+                         v0=root[:, 0] * _start_vector(n),
                          maxiter=10 * n, tol=0)
     except ArpackNoConvergence as exc:
         best = None
@@ -261,45 +230,52 @@ def lowest_pairs(pencil, mdiag, sigma, operator, nev, seed, what):
     return vals[order], g[:, order] / root
 
 
-def bottom_pair(pencil, mdiag, sigma, tol, seed, what):
+def bottom_pair(pencil, mdiag, sigma, tol, what):
     """Smallest eigenpair ``(mu, f)`` of pencil f = mu diag(mdiag) f.
 
     ``pencil`` is symmetric and ``sigma`` lies strictly below its
-    spectrum.  The pair comes from SciPy's single-vector LOBPCG
-    (A. V. Knyazev, SIAM J. Sci. Comput. 23(2), 2001), started from the
-    constant vector and preconditioned by the shift-invert operator of
-    ``pencil - sigma M`` (see ``shift_invert``).  LOBPCG checks its start
-    before it applies that operator, and the operator is factored at its
-    first application, so a pencil whose bottom eigenvector is the
-    constant (zero curvature) is solved without a factorization.  When
-    LOBPCG misses within ``_LOBPCG_STEPS`` operator solves, the same
-    factor serves ``lowest_pairs`` with ``seed``.  f has unit M-norm,
-    and the pair meets ||A f - mu M f|| <= tol * ||M f||; otherwise, or
-    when Lanczos does not converge, ``EigenSolverError`` is raised with
-    that relative residual (or None) as ``best_residual``; ``what``
-    names the pencil.
+    spectrum.  The constant of unit M-norm is tried first and returned
+    with its Rayleigh quotient when it meets the contract, so a pencil
+    whose bottom eigenvector is the constant (zero curvature) is solved
+    without a factorization.  Otherwise ``pencil - sigma M`` is factored
+    (see ``shift_invert``), and the pair comes from SciPy's single-vector
+    LOBPCG (A. V. Knyazev, SIAM J. Sci. Comput. 23(2), 2001), started
+    from the constant and preconditioned by that factor.  When LOBPCG
+    misses within ``_LOBPCG_STEPS`` operator solves, the same factor
+    serves ``lowest_pairs``.  f has unit M-norm, and the pair meets
+    ||A f - mu M f|| <= tol * ||M f||; otherwise, or when Lanczos does
+    not converge, ``EigenSolverError`` is raised with that relative
+    residual (or None) as ``best_residual``; ``what`` names the pencil.
     """
     _check_tol(tol)
-    solve = functools.cache(
-        lambda: shift_invert(pencil - sigma * sparse.diags(mdiag)))
+
+    def quotient_if_converged(f):
+        mu = float(np.einsum("i,i->", f, pencil @ f))
+        residual = _relative_residuals(pencil, mdiag, np.array([mu]),
+                                       f[:, None])[0]
+        return mu if residual <= tol else None
+
+    f = np.full(len(mdiag), 1.0 / np.sqrt(mdiag.sum()))
+    mu = quotient_if_converged(f)
+    if mu is not None:
+        return mu, f
+    solve = shift_invert(pencil - sigma * sparse.diags(mdiag))
     with warnings.catch_warnings():
-        # A miss is judged by the contract below, not by LOBPCG's warning.
+        # A miss is judged by the contract, not by LOBPCG's warning.
         warnings.simplefilter("ignore", UserWarning)
         # LOBPCG's stopping test is absolute; a unit M-norm f has
         # ||M f|| >= sqrt(min m), so meeting it meets the contract.  SciPy
         # applies the preconditioner at most maxiter + 1 times.
         _, block = lobpcg(pencil, np.ones((len(mdiag), 1)),
-                          B=sparse.diags(mdiag),
-                          M=lambda r: solve()(r),
+                          B=sparse.diags(mdiag), M=solve,
                           tol=tol * np.sqrt(mdiag.min()),
                           largest=False, maxiter=_LOBPCG_STEPS - 1)
     f = block[:, 0] / np.sqrt(mass_gram(block, block, mdiag)[0, 0])
-    mu = float(np.einsum("i,i->", f, pencil @ f))
-    if _relative_residuals(pencil, mdiag, np.array([mu]),
-                           f[:, None])[0] <= tol:
+    mu = quotient_if_converged(f)
+    if mu is not None:
         return mu, f
     vals, vecs = lowest_pairs(pencil, mdiag, sigma,
-                              symmetric_inverse(solve(), mdiag), 1, seed, what)
+                              symmetric_inverse(solve, mdiag), 1, what)
     worst = float(_relative_residuals(pencil, mdiag, vals, vecs)[0])
     if worst > tol:
         raise EigenSolverError(

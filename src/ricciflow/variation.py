@@ -33,7 +33,6 @@ from .spectral import (
 
 NORMALIZATION_SLACK = 1e-6
 _REL_ERROR_FLOOR = 1e-12
-_PERELMAN_V0_SEED = 91125
 
 
 class ClusterGaugeError(ValueError):
@@ -147,11 +146,12 @@ def integrability_residuals(traj, t_index, eigen_index, allow_cluster=False):
     return res_first, res_second
 
 
-def perelman_lambda(mesh, snapshot, tol=DEFAULT_TOL):
+def perelman_lambda(snapshot, tol=DEFAULT_TOL):
     """Smallest eigenvalue of the pencil (4L + M diag(R)) f = mu M f.
 
     Discretization of the lowest eigenvalue of -4 Delta + R, which is
-    nondecreasing along the unnormalized flow.  R is ``snapshot.R``.
+    nondecreasing along the unnormalized flow.  L, R and M are the
+    snapshot's own stiffness, curvature and mass diagonal.
     The pencil is solved by ``spectral.bottom_pair``, whose shift-invert
     factorization, when it needs one, reuses the nested-dissection order
     of the Laplace pencil.  The pair must meet the same contract,
@@ -160,12 +160,12 @@ def perelman_lambda(mesh, snapshot, tol=DEFAULT_TOL):
     residual (or None) as ``best_residual``.
     """
     mdiag = snapshot.mass_diag
-    pencil = 4.0 * mesh.stiffness + sparse.diags(mdiag * snapshot.R)
+    pencil = 4.0 * snapshot.mesh.stiffness + sparse.diags(mdiag * snapshot.R)
 
     # Rayleigh quotient >= min(R), so this shift sits strictly below
     # the whole spectrum and shift-invert targets the bottom eigenvalue.
     mu, _ = bottom_pair(pencil, mdiag, snapshot.R_min - 1.0, tol,
-                        _PERELMAN_V0_SEED, "curvature-shifted pencil")
+                        "curvature-shifted pencil")
     return mu
 
 

@@ -245,8 +245,7 @@ def test_criterion_06_perelman_functional_monotone(run_round_sphere,
         "flat torus": run_flat_torus,
     }
     for name, traj in runs.items():
-        sequence = [perelman_lambda(traj.mesh, snap)
-                    for snap in traj.snapshots]
+        sequence = [perelman_lambda(snap) for snap in traj.snapshots]
         worst = float(np.diff(sequence).min()) if len(sequence) > 1 else 0.0
         print(f"{name}: first {sequence[0]:.6f} last {sequence[-1]:.6f} "
               f"min step {worst:.2e}")

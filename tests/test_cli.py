@@ -264,12 +264,13 @@ def test_perelman_failure_flushes_partial_outputs(tmp_path, capsys,
                         / np.linalg.norm(mf))
         raise ArpackNoConvergence("no convergence", vals, g[:, None])
 
-    # A column that misses the contract; the constant start would not.
+    # A column that misses the contract.
     monkeypatch.setattr(spectral, "lobpcg", lambda pencil, start, **kwargs: (
         np.zeros(1), np.random.default_rng(0).standard_normal(start.shape)))
     monkeypatch.setattr(spectral, "eigsh", no_convergence)
     monkeypatch.setattr(spectral, "lowest_pairs", recording)
-    config = parse_config(TORUS_VERIFY)
+    # The flat torus's constant meets the contract before LOBPCG runs.
+    config = parse_config(TORUS_VERIFY + "\n[perturbation]\namplitude = 0.1\n")
     config.output_dir = str(tmp_path / "run")
     assert run_experiment(config, quiet=True) == 2
     err = capsys.readouterr().err

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import mmap
 import warnings
@@ -6,11 +7,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import ricciflow
 from ricciflow.flow import (
     ConformalState,
     FlowBlowUpError,
     FlowConfig,
+    SpectrumSnapshot,
     SpectrumTrajectory,
+    _record,
     _unpinned_copy,
     run,
     scalar_curvature_evolution_residual,
@@ -23,7 +27,6 @@ from ricciflow.mesh import (
     scalar_curvature,
     total_area,
 )
-from ricciflow.spectral import SpectrumSnapshot
 
 
 def sphere_bump(mesh, amplitude=0.1):
@@ -35,10 +38,9 @@ def fake_trajectory(mesh, times):
     traj = SpectrumTrajectory(mesh=mesh, mode="unnormalized")
     for t in times:
         traj.snapshots.append(SpectrumSnapshot(
-            t=t, u=np.zeros(mesh.n_vertices), eigenvalues=np.zeros(0),
-            eigenvectors=np.zeros((mesh.n_vertices, 0)), area=1.0,
-            r_avg=0.0, R=np.zeros(mesh.n_vertices),
-            mass_diag=mesh.base_vertex_area.copy()))
+            mesh=mesh, u=np.zeros(mesh.n_vertices), t=t,
+            eigenvalues=np.zeros(0),
+            eigenvectors=np.zeros((mesh.n_vertices, 0))))
     return traj
 
 
@@ -151,9 +153,8 @@ def test_normalized_flow_conserves_area_and_rounds_out():
 
 
 def test_recorded_curvature_is_that_of_the_recorded_factor():
-    # R, the mass diagonal, the area and r are computed once per state
-    # and carried onto each snapshot; they must be those of the
-    # snapshot's own u.
+    # A snapshot is the state it was solved on: R, the mass diagonal,
+    # the area and r must be those of the snapshot's own u.
     mesh = build_icosphere(2, 1.0)
     cfg = FlowConfig(mode="normalized", dt_init=1e-3, t_end=0.022,
                      record_every=5, spectrum_k=2)
@@ -171,6 +172,36 @@ def test_recorded_curvature_is_that_of_the_recorded_factor():
         r_avg = float(np.sum(snap.R * weights)) / area
         # Scaled by max|R| because r is 0 on tori.
         assert abs(snap.r_avg - r_avg) <= 1e-13 * np.abs(snap.R).max()
+
+
+def test_snapshot_is_the_state_it_was_solved_on():
+    assert issubclass(ricciflow.SpectrumSnapshot, ricciflow.ConformalState)
+    mesh = build_icosphere(1, 1.0)
+    u = sphere_bump(mesh, amplitude=0.3)
+    snap = SpectrumSnapshot(mesh=mesh, u=u, t=0.5, eigenvalues=np.zeros(1),
+                            eigenvectors=np.zeros((mesh.n_vertices, 1)))
+    for candidate, factor in ((snap, u),
+                              (dataclasses.replace(snap, u=-u), -u)):
+        state = ConformalState(mesh, factor, t=0.5)
+        assert np.array_equal(candidate.R, scalar_curvature(mesh, factor))
+        assert np.array_equal(candidate.mass_diag,
+                              mesh.base_vertex_area * np.exp(factor))
+        assert candidate.area == state.area
+        assert candidate.r_avg == state.r_avg
+        assert (candidate.R_min, candidate.R_max) == (state.R_min,
+                                                      state.R_max)
+        assert candidate.t == 0.5
+    assert snap.overlaps is None and snap.tracking_warnings == []
+
+
+def test_recorded_snapshot_shares_the_state_factor():
+    # A state's u is never modified in place, so the record keeps it.
+    mesh = build_icosphere(1, 1.0)
+    state = ConformalState(mesh, sphere_bump(mesh), t=0.25)
+    snap = _record(state, FlowConfig(spectrum_k=3), None)
+    assert snap.u is state.u and snap.mesh is mesh and snap.t == 0.25
+    assert np.array_equal(snap.R, state.R)
+    assert np.array_equal(snap.mass_diag, state.mass_diag)
 
 
 def _explicit_rk4_step(mesh, u, dt, mode):
@@ -199,7 +230,7 @@ def test_step_matches_explicit_rk4(mode):
     assert stepped.t == 0.25 + 2e-3
     assert_allclose(stepped.u, _explicit_rk4_step(mesh, u0, 2e-3, mode),
                     rtol=0, atol=1e-12)
-    assert np.array_equal(stepped.curvature,
+    assert np.array_equal(stepped.R,
                           scalar_curvature(mesh, stepped.u))
 
 

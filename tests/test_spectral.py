@@ -14,17 +14,16 @@ import ricciflow.spectral as spectral
 import ricciflow.variation as variation
 from ricciflow.cli import conformal_bump
 from ricciflow.config import PerturbationSpec
+from ricciflow.flow import SpectrumSnapshot
 from ricciflow.mesh import (
     Mesh,
     build_flat_torus,
     build_icosphere,
-    scalar_curvature,
     total_area,
 )
 from ricciflow.modelspaces import exact_spectrum, flat_torus, round_sphere
 from ricciflow.spectral import (
     EigenSolverError,
-    SpectrumSnapshot,
     eigenvalue_clusters,
     rayleigh_quotient,
     solve_spectrum,
@@ -40,11 +39,8 @@ def sphere_pencil(subdivisions=3, radius=1.0):
 
 def snapshot_from_spectrum(mesh, values, vectors, u=None):
     u = np.zeros(mesh.n_vertices) if u is None else u
-    return SpectrumSnapshot(
-        t=0.0, u=u, eigenvalues=values, eigenvectors=vectors,
-        area=total_area(mesh, u), r_avg=0.0, R=np.zeros(mesh.n_vertices),
-        mass_diag=mesh.base_vertex_area * np.exp(u),
-    )
+    return SpectrumSnapshot(mesh=mesh, u=u, eigenvalues=values,
+                            eigenvectors=vectors)
 
 
 # ---------------------------------------------------------------------------
@@ -305,9 +301,7 @@ def test_both_pencils_share_one_ordering(monkeypatch):
         u = 0.2 * rng.standard_normal(mesh.n_vertices)
         vals, vecs = solve_spectrum(mesh.stiffness,
                                     mesh.base_vertex_area * np.exp(u), k=4)
-        snap = snapshot_from_spectrum(mesh, vals, vecs, u)
-        snap.R = 1.0 + rng.standard_normal(mesh.n_vertices)
-        perelman_lambda(mesh, snap)
+        perelman_lambda(snapshot_from_spectrum(mesh, vals, vecs, u))
     assert calls == [(mesh.n_vertices, mesh.n_vertices)]
 
 
@@ -443,7 +437,7 @@ def test_symmetric_inverse_is_the_standard_form_of_the_pencil(mesh, k, seed):
             <= 1e-12 * np.linalg.norm(plain.matvec(q)))
 
     vals, _ = spectral.lowest_pairs(mesh.stiffness, mdiag, spectral._SIGMA,
-                                    deflated, k, spectral._V0_SEED, "test")
+                                    deflated, k, "test")
     reference = eigh(mesh.stiffness.toarray(), np.diag(mdiag),
                      eigvals_only=True)
     assert_allclose(vals, reference[1:k + 1], rtol=1e-10)
@@ -485,10 +479,8 @@ def test_solve_spectrum_rejects_bad_mass_diag_before_factoring(case,
 
 
 def curvature_snapshot(mesh, u):
-    snap = snapshot_from_spectrum(mesh, np.zeros(0),
+    return snapshot_from_spectrum(mesh, np.zeros(0),
                                   np.zeros((mesh.n_vertices, 0)), u)
-    snap.R = scalar_curvature(mesh, u)
-    return snap
 
 
 def missed_lobpcg(pencil, start, **kwargs):
@@ -522,7 +514,7 @@ def test_perelman_lambda_is_the_checked_bottom_of_the_pencil(mesh, amplitude,
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(variation, "bottom_pair", recording)
-        mu = perelman_lambda(mesh, snap)
+        mu = perelman_lambda(snap)
 
     reference = eigh(pencil.toarray(), np.diag(mdiag), eigvals_only=True,
                      subset_by_index=[0, 0])[0]
@@ -552,7 +544,7 @@ def test_perelman_residual_miss_is_an_error():
         patch.setattr(spectral, "eigsh", perturbed)
         with pytest.raises(EigenSolverError, match="^curvature-shifted pencil"
                            ".*exceeds tolerance") as info:
-            perelman_lambda(mesh, snap)
+            perelman_lambda(snap)
     best = info.value.best_residual
     assert isinstance(best, float)
     assert best > spectral.DEFAULT_TOL
@@ -585,8 +577,23 @@ def counted_lu(monkeypatch):
                                   build_flat_torus(48, 48, 1.0, 1.0)])
 def test_flat_torus_perelman_needs_no_factorization(mesh, monkeypatch):
     counts = counted_lu(monkeypatch)
-    mu = perelman_lambda(mesh, curvature_snapshot(mesh, np.zeros(
-        mesh.n_vertices)))
+    mu = perelman_lambda(curvature_snapshot(mesh, np.zeros(mesh.n_vertices)))
+    assert abs(mu) <= 1e-10
+    assert counts == {"factorizations": 0, "solves": 0}
+
+
+def test_converged_constant_is_returned_before_lobpcg(monkeypatch):
+    mesh = build_flat_torus(8, 8, 1.0, 1.0)
+    mdiag = mesh.base_vertex_area
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("LOBPCG ran on a converged constant")
+
+    counts = counted_lu(monkeypatch)
+    monkeypatch.setattr(spectral, "lobpcg", unreachable)
+    mu, f = spectral.bottom_pair(4.0 * mesh.stiffness, mdiag, -1.0,
+                                 spectral.DEFAULT_TOL, "test")
+    assert np.all(f == 1.0 / np.sqrt(mdiag.sum()))
     assert abs(mu) <= 1e-10
     assert counts == {"factorizations": 0, "solves": 0}
 
@@ -598,12 +605,12 @@ def test_smooth_bump_perelman_takes_few_solves(amplitude, seed, monkeypatch):
     snap = curvature_snapshot(mesh, conformal_bump(
         mesh, PerturbationSpec(amplitude=amplitude, mode=2, seed=seed)))
     counts = counted_lu(monkeypatch)
-    mu = perelman_lambda(mesh, snap)
+    mu = perelman_lambda(snap)
     assert counts["factorizations"] == 1
     assert counts["solves"] <= 8
 
     monkeypatch.setattr(spectral, "lobpcg", missed_lobpcg)
-    assert_allclose(mu, perelman_lambda(mesh, snap), rtol=1e-12, atol=0)
+    assert_allclose(mu, perelman_lambda(snap), rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -614,7 +621,7 @@ def test_rough_perelman_shares_one_factor_with_its_fallback(seed,
     snap = curvature_snapshot(mesh, 0.2 * np.random.default_rng(seed)
                               .standard_normal(mesh.n_vertices))
     counts = counted_lu(monkeypatch)
-    mu = perelman_lambda(mesh, snap)
+    mu = perelman_lambda(snap)
     assert counts["factorizations"] == 1
     pencil = 4.0 * mesh.stiffness + diags(snap.mass_diag * snap.R)
     reference = eigh(pencil.toarray(), np.diag(snap.mass_diag),
@@ -624,7 +631,7 @@ def test_rough_perelman_shares_one_factor_with_its_fallback(seed,
     solves = counts["solves"]
     counts.update(factorizations=0, solves=0)
     monkeypatch.setattr(spectral, "lobpcg", missed_lobpcg)
-    perelman_lambda(mesh, snap)
+    perelman_lambda(snap)
     assert counts["factorizations"] == 1
     assert solves <= counts["solves"] + spectral._LOBPCG_STEPS
 
@@ -633,7 +640,7 @@ TOL_ENTRY_POINTS = {
     "solve_spectrum": lambda mesh, u, tol: solve_spectrum(
         mesh.stiffness, mesh.base_vertex_area * np.exp(u), k=4, tol=tol),
     "bottom_pair": lambda mesh, u, tol: perelman_lambda(
-        mesh, curvature_snapshot(mesh, u), tol=tol),
+        curvature_snapshot(mesh, u), tol=tol),
 }
 
 

@@ -7,16 +7,21 @@ from numpy.testing import assert_allclose
 
 from ricciflow.cli import initial_log_factor
 from ricciflow.config import PerturbationSpec
-from ricciflow.flow import ConformalState, FlowConfig, SpectrumTrajectory, run
+from ricciflow.flow import (
+    ConformalState,
+    FlowConfig,
+    SpectrumSnapshot,
+    SpectrumTrajectory,
+    run,
+)
 from ricciflow.mesh import (
     build_flat_torus,
     build_icosphere,
     integrate,
     scalar_curvature,
-    total_area,
 )
 from ricciflow.modelspaces import homogeneous_rate, round_sphere
-from ricciflow.spectral import SpectrumSnapshot, solve_spectrum
+from ricciflow.spectral import solve_spectrum
 from ricciflow.variation import (
     ClusterGaugeError,
     finite_difference_rate,
@@ -31,16 +36,11 @@ from ricciflow.variation import (
 
 
 def make_snapshot(mesh, u=None, k=6):
-    """(mesh, snapshot) of the metric e^u g0."""
-    u = np.zeros(mesh.n_vertices) if u is None else u
-    mdiag = mesh.base_vertex_area * np.exp(u)
-    values, vectors = solve_spectrum(mesh.stiffness, mdiag, k)
-    curvature = scalar_curvature(mesh, u)
-    area = total_area(mesh, u)
-    return mesh, SpectrumSnapshot(
-        t=0.0, u=u, eigenvalues=values, eigenvectors=vectors, area=area,
-        r_avg=integrate(mdiag, curvature) / area, R=curvature,
-        mass_diag=mdiag)
+    """Snapshot of the metric e^u g0 with its spectrum 0..k."""
+    state = ConformalState(mesh, np.zeros(mesh.n_vertices) if u is None else u)
+    values, vectors = solve_spectrum(mesh.stiffness, state.mass_diag, k)
+    return SpectrumSnapshot(mesh=mesh, u=state.u, eigenvalues=values,
+                            eigenvectors=vectors)
 
 
 @pytest.fixture(scope="module")
@@ -63,9 +63,10 @@ def steady_torus_traj():
 
 @pytest.fixture(scope="module")
 def round_sphere_traj():
+    # spectrum_k = 8 records the whole five-fold shell 4..8.
     mesh = build_icosphere(2, 1.0)
     cfg = FlowConfig(mode="unnormalized", dt_init=1e-3, t_end=6e-3,
-                     record_every=1, spectrum_k=6)
+                     record_every=1, spectrum_k=8)
     return run(ConformalState(mesh, np.zeros(mesh.n_vertices)), cfg)
 
 
@@ -85,7 +86,8 @@ def bumpy_sphere_traj():
 def test_round_sphere_rate_is_twice_lambda1(sphere_snapshot):
     # On the unit round sphere lambda_1 = 2 and R = 2, so the rate
     # lambda * int f^2 R dmu evaluates to 4.
-    mesh, snap = sphere_snapshot
+    snap = sphere_snapshot
+    mesh = snap.mesh
     assert abs(snap.eigenvalues[1] - 2.0) < 0.02
     curvature = scalar_curvature(mesh, snap.u)
     f2r = integrate(snap.mass_diag, snap.eigenvectors[:, 1]**2 * curvature)
@@ -96,20 +98,20 @@ def test_round_sphere_rate_is_twice_lambda1(sphere_snapshot):
 def test_round_sphere_normalized_rate_vanishes(sphere_snapshot):
     # The normalized flow fixes the round sphere, so every eigenvalue
     # branch is stationary: -r*lambda cancels the surface integral.
-    _, snap = sphere_snapshot
+    snap = sphere_snapshot
     for index in (1, 2, 3):
         assert abs(rhs_normalized_surface(snap, index)) < 1e-3
 
 
 def test_flat_torus_rates_vanish(torus_snapshot):
-    _, snap = torus_snapshot
+    snap = torus_snapshot
     for index in (1, 2):
         assert abs(rhs_unnormalized_surface(snap, index)) < 1e-9
         assert abs(rhs_normalized_surface(snap, index)) < 1e-9
 
 
 def test_rate_inputs_are_validated(sphere_snapshot):
-    _, snap = sphere_snapshot
+    snap = sphere_snapshot
     for fn in (rhs_unnormalized_surface, rhs_normalized_surface):
         with pytest.raises(ValueError, match="nonconstant"):
             fn(snap, 0)
@@ -124,12 +126,12 @@ def test_rate_inputs_are_validated(sphere_snapshot):
 
 
 def fake_lambda_trajectory(times, lam_rows):
-    traj = SpectrumTrajectory(mesh=None, mode="unnormalized")
+    mesh = build_flat_torus(3, 3, 1.0, 1.0)
+    traj = SpectrumTrajectory(mesh=mesh, mode="unnormalized")
     for t, lams in zip(times, lam_rows):
         traj.snapshots.append(SpectrumSnapshot(
-            t=t, u=np.zeros(1), eigenvalues=np.array(lams, dtype=float),
-            eigenvectors=None, area=1.0, r_avg=0.0, R=np.zeros(1),
-            mass_diag=np.ones(1)))
+            mesh=mesh, u=np.zeros(mesh.n_vertices), t=t,
+            eigenvalues=np.array(lams, dtype=float), eigenvectors=None))
     return traj
 
 
@@ -200,8 +202,8 @@ def test_integrability_input_validation(round_sphere_traj):
 def test_perelman_lambda_on_model_surfaces(sphere_snapshot, torus_snapshot):
     # -4*Delta + R has bottom eigenvalue min(R) = 2 on the unit round
     # sphere (constant eigenfunction) and 0 on the flat torus.
-    assert abs(perelman_lambda(*sphere_snapshot) - 2.0) < 0.04
-    assert abs(perelman_lambda(*torus_snapshot)) < 1e-8
+    assert abs(perelman_lambda(sphere_snapshot) - 2.0) < 0.04
+    assert abs(perelman_lambda(torus_snapshot)) < 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -242,19 +244,14 @@ def test_report_on_bumpy_sphere_matches_rates(bumpy_sphere_traj):
 
 def test_report_on_round_sphere_clusters(round_sphere_traj):
     rows = variation_report(round_sphere_traj)
-    assert len(rows) == 10  # 5 interior times x 2 degenerate triples
-    assert all(row.is_cluster for row in rows)
+    assert len(rows) == 10  # 5 interior times x 2 complete shells
+    assert {row.members for row in rows} == {(1, 2, 3), (4, 5, 6, 7, 8)}
     for row in rows:
+        assert row.is_cluster
         assert math.isnan(row.integ_res_1) and math.isnan(row.integ_res_2)
-        if row.members == (1, 2, 3):
-            # complete icosahedral triple: the span is stable
-            assert row.tracking_ok
-            assert row.rel_error < 1e-4
-        else:
-            # (4, 5, 6) is a truncated slice of the five-fold shell, so
-            # its recorded span is solver-dependent and flagged.
-            assert row.members == (4, 5, 6)
-            assert not row.tracking_ok
+        # A complete icosahedral shell spans a stable eigenspace.
+        assert row.tracking_ok
+        assert row.rel_error < 1e-4
 
 
 def test_report_skips_nonuniform_spacing(round_sphere_traj):
