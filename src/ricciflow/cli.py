@@ -18,7 +18,7 @@ import numpy as np
 
 from . import variation
 from .config import EXPERIMENTS, ConfigError, parse_config
-from .flow import ConformalState, run
+from .flow import ConformalState, SpectrumTrajectory, run
 from .mesh import (
     build_flat_torus,
     build_icosphere,
@@ -126,6 +126,23 @@ def write_summary_json(path, summary):
     with open(path, "w", encoding="ascii", newline="\n") as handle:
         json.dump(summary, handle, indent=2, sort_keys=True, allow_nan=True)
         handle.write("\n")
+
+
+def report_window(traj, rows):
+    """Append the variation rows of ``traj``'s last three snapshots to ``rows``.
+
+    Called after every recorded snapshot, this reports each interior time
+    once, from the same three snapshots and in the same order as
+    ``variation.variation_report(traj)``.  The window's oldest snapshot
+    then drops its eigenvectors: no later window, and no tracking step,
+    reads them.
+    """
+    if len(traj.snapshots) < 3:
+        return
+    window = SpectrumTrajectory(mesh=traj.mesh, mode=traj.mode,
+                                snapshots=traj.snapshots[-3:])
+    rows.extend(variation.variation_report(window))
+    window.snapshots[0].eigenvectors = None
 
 
 def _nondecreasing(series, slack):
@@ -316,11 +333,12 @@ def run_experiment(config, quiet=False):
 
     say(f"{config.experiment}: {mesh!r}, mode={config.flow.mode}, "
         f"t_end={config.flow.t_end}")
-    traj = run(ConformalState(mesh, u0), config.flow)
+    rows = []
+    traj = run(ConformalState(mesh, u0), config.flow,
+               on_record=lambda traj: report_window(traj, rows))
     say(f"stopped: {traj.stopping_reason} after "
         f"{len(traj.snapshots)} snapshots")
 
-    rows = variation.variation_report(traj)
     summary = _base_summary(config, traj)
     if traj.snapshots:
         summary["variation"] = _variation_summary(rows)

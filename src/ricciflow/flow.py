@@ -40,7 +40,7 @@ class FlowBlowUpError(RuntimeError):
         self.last_state = last_state
 
 
-@dataclass
+@dataclass(eq=False)
 class ConformalState:
     """Flow state: mesh, per-vertex log conformal factor, time.
 
@@ -48,7 +48,8 @@ class ConformalState:
     once when the state is built.  ``mass_diag``, the vertex areas
     base_vertex_area * e^u, is computed on first use; ``area`` and the
     area-averaged curvature ``r_avg`` read it.  ``u`` must not be
-    modified in place afterwards.
+    modified in place afterwards.  States compare by identity: two
+    states are equal only if they are the same object.
     """
 
     mesh: object
@@ -82,7 +83,7 @@ class ConformalState:
         return float(self.R.max())
 
 
-@dataclass(kw_only=True)
+@dataclass(kw_only=True, eq=False)
 class SpectrumSnapshot(ConformalState):
     """A recorded state with the spectrum solved on its metric.
 
@@ -90,7 +91,9 @@ class SpectrumSnapshot(ConformalState):
     tracked branches 0..k: column i is branch i's eigenfunction, of unit
     M-norm for M = diag(``mass_diag``), with eigenvalue
     ``eigenvalues[i]``.  ``overlaps`` are the tracking overlaps with the
-    previous snapshot.
+    previous snapshot.  ``eigenvectors`` is None once the command-line
+    variation report has moved its three-snapshot window past the
+    snapshot (``cli.report_window``); ``run`` alone keeps every block.
     """
 
     eigenvalues: np.ndarray
@@ -249,7 +252,7 @@ def _record(state, cfg, prev_snapshot):
     )
 
 
-def run(initial, cfg):
+def run(initial, cfg, on_record=None):
     """Drive the flow from ``initial`` until a stopping condition.
 
     Records a spectrum snapshot at t=0, after every ``record_every``
@@ -260,6 +263,13 @@ def run(initial, cfg):
     ``solver_failure``.  For shrinking unnormalized runs on chi > 0
     topologies a blow-up time estimate t + A / (4 pi chi) is attached
     when the run ends early.
+
+    ``on_record(traj)``, when given, is called right after each snapshot
+    is appended, with the trajectory so far (``traj.snapshots[-1]`` is
+    the new snapshot).  It may set ``eigenvectors = None`` on any
+    snapshot but the newest, whose block the next snapshot's tracking
+    reads; nothing else in ``run`` reads eigenvectors.  Without it
+    every snapshot keeps its block.
 
     Returns
     -------
@@ -274,11 +284,16 @@ def run(initial, cfg):
     area0 = initial.area
     floor = cfg.area_floor if cfg.area_floor is not None else 1e-6 * area0
 
+    def append(snapshot):
+        traj.snapshots.append(snapshot)
+        if on_record is not None:
+            on_record(traj)
+
     state = initial
     steps = 0
     try:
         snapshot = _record(initial, cfg, None)
-        traj.snapshots.append(snapshot)
+        append(snapshot)
         while True:
             r_min, r_max = state.R_min, state.R_max
             max_abs_r = max(-r_min, r_max)
@@ -309,10 +324,10 @@ def run(initial, cfg):
 
             if steps % cfg.record_every == 0:
                 snapshot = _record(state, cfg, snapshot)
-                traj.snapshots.append(snapshot)
+                append(snapshot)
 
-        if state.t > traj.snapshots[-1].t + _T_SLOP:
-            traj.snapshots.append(_record(state, cfg, traj.snapshots[-1]))
+        if state.t > snapshot.t + _T_SLOP:
+            append(_record(state, cfg, snapshot))
     except EigenSolverError as exc:
         reason = "solver_failure"
         traj.failure = {"t": state.t, "message": str(exc),

@@ -185,7 +185,6 @@ def rate_bound_check(fd_rate, lam, dim, tol=1e-9):
 class VariationRow:
     """One finite-difference vs closed-form comparison."""
 
-    t_index: int
     t: float
     index: int
     members: tuple
@@ -258,7 +257,6 @@ def variation_report(traj):
             if not is_cluster and tracking_ok:
                 res1, res2 = integrability_residuals(traj, t_index, members[0])
             rows.append(VariationRow(
-                t_index=t_index,
                 t=s_mid.t,
                 index=members[0],
                 members=members,

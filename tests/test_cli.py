@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.sparse.linalg import ArpackNoConvergence
 
-from ricciflow import spectral
+from ricciflow import cli, spectral, variation
 from ricciflow.cli import (
     build_geometry,
     conformal_bump,
@@ -14,6 +14,7 @@ from ricciflow.cli import (
     run_experiment,
 )
 from ricciflow.config import GeometrySpec, PerturbationSpec, parse_config
+from ricciflow.flow import ConformalState
 from ricciflow.mesh import build_flat_torus, build_icosphere, total_area
 
 TORUS_VERIFY = """\
@@ -206,6 +207,47 @@ def test_verify_run_on_bumpy_sphere(tmp_path):
     assert summary["variation"]["max_integrability_residual"] < 1e-4
     assert summary["area_law_max_rel_error"] < 1e-10
     assert summary["tracking_warning_count"] == 0
+
+
+def test_report_window_holds_three_eigenvector_blocks(tmp_path, monkeypatch):
+    real_run, real_report = cli.run, variation.variation_report
+    live, reported, trajs = [], [], []
+
+    def watched_run(initial, cfg, on_record=None):
+        def watching(traj):
+            live.append(sum(s.eigenvectors is not None
+                            for s in traj.snapshots))
+            on_record(traj)
+
+        trajs.append(real_run(initial, cfg, on_record=watching))
+        return trajs[-1]
+
+    def counting_report(traj):
+        rows = real_report(traj)
+        reported.append(len(rows))
+        return rows
+
+    monkeypatch.setattr(cli, "run", watched_run)
+    # Wrapped through the module attribute, as the benchmark tracer does.
+    monkeypatch.setattr(variation, "variation_report", counting_report)
+    config = parse_config(SPHERE_VERIFY)
+    config.output_dir = str(tmp_path / "run")
+    assert run_experiment(config, quiet=True) == 0
+
+    assert live == [1, 2, 3, 3, 3, 3, 3]
+    assert [s.eigenvectors is not None for s in trajs[0].snapshots] == \
+        [False] * 5 + [True] * 2
+    assert reported == [6] * 5
+
+    # A plain run keeps every block; its whole-trajectory report has the
+    # rows the windows reported, and variation.csv has them all.
+    mesh = build_geometry(config.geometry)
+    traj = real_run(ConformalState(
+        mesh, initial_log_factor(mesh, config.perturbation)), config.flow)
+    assert all(s.eigenvectors is not None for s in traj.snapshots)
+    assert sum(reported) == len(real_report(traj)) == 30
+    _, rows_v = read_csv(tmp_path / "run" / "variation.csv")
+    assert len(rows_v) == 30
 
 
 def test_reruns_are_byte_identical(tmp_path):

@@ -194,6 +194,32 @@ def test_snapshot_is_the_state_it_was_solved_on():
     assert snap.overlaps is None and snap.tracking_warnings == []
 
 
+def test_states_and_snapshots_compare_by_identity():
+    # Array fields have no single truth value, so equality is identity.
+    mesh = build_flat_torus(3, 3, 1.0, 1.0)
+    a, b = (ConformalState(mesh, np.zeros(mesh.n_vertices)) for _ in range(2))
+    assert a == a and a != b
+    assert len({a, b}) == 2
+    traj = fake_trajectory(mesh, [0.0, 0.1, 0.2])
+    later = traj.snapshots[2]
+    assert later in traj.snapshots
+    assert traj.snapshots.index(later) == 2
+    assert dataclasses.replace(later) != later
+
+
+def test_on_record_runs_after_each_append():
+    mesh = build_flat_torus(8, 8, 1.0, 1.0)
+    cfg = FlowConfig(mode="unnormalized", dt_init=1e-3, t_end=0.014,
+                     record_every=5, spectrum_k=2)
+    seen = []
+    traj = run(ConformalState(mesh, np.zeros(mesh.n_vertices)), cfg,
+               on_record=lambda t: seen.append((t, t.snapshots[-1].t)))
+    # t = 0, the two recording steps and the final partial step.
+    assert_allclose([t for _, t in seen], [0.0, 0.005, 0.01, 0.014],
+                    atol=1e-12)
+    assert all(t is traj for t, _ in seen)
+
+
 def test_recorded_snapshot_shares_the_state_factor():
     # A state's u is never modified in place, so the record keeps it.
     mesh = build_icosphere(1, 1.0)

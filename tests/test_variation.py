@@ -1,11 +1,13 @@
+import copy
 import dataclasses
 import math
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_equal
 
-from ricciflow.cli import initial_log_factor
+from ricciflow import flow
+from ricciflow.cli import initial_log_factor, report_window
 from ricciflow.config import PerturbationSpec
 from ricciflow.flow import (
     ConformalState,
@@ -21,7 +23,7 @@ from ricciflow.mesh import (
     scalar_curvature,
 )
 from ricciflow.modelspaces import homogeneous_rate, round_sphere
-from ricciflow.spectral import solve_spectrum
+from ricciflow.spectral import EigenSolverError, solve_spectrum
 from ricciflow.variation import (
     ClusterGaugeError,
     finite_difference_rate,
@@ -70,13 +72,41 @@ def round_sphere_traj():
     return run(ConformalState(mesh, np.zeros(mesh.n_vertices)), cfg)
 
 
-@pytest.fixture(scope="module")
-def bumpy_sphere_traj():
+def bumpy_sphere_run(t_end=6e-3):
     mesh = build_icosphere(2, 1.0)
     u0 = initial_log_factor(mesh, PerturbationSpec(amplitude=0.1, mode=2, seed=7))
-    cfg = FlowConfig(mode="unnormalized", dt_init=1e-3, t_end=6e-3,
+    cfg = FlowConfig(mode="unnormalized", dt_init=1e-3, t_end=t_end,
                      record_every=1, spectrum_k=6)
     return run(ConformalState(mesh, u0), cfg)
+
+
+@pytest.fixture(scope="module")
+def bumpy_sphere_traj():
+    return bumpy_sphere_run()
+
+
+@pytest.fixture(scope="module")
+def ragged_end_traj():
+    # The final partial step records at 5.5e-3, half a spacing on.
+    return bumpy_sphere_run(t_end=5.5e-3)
+
+
+@pytest.fixture(scope="module")
+def partial_failure_traj():
+    # The fifth Laplace solve fails: four snapshots, then the stop.
+    calls = []
+
+    def failing_fifth(*args):
+        calls.append(args)
+        if len(calls) == 5:
+            raise EigenSolverError("injected failure", best_residual=1.0)
+        return solve_spectrum(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(flow, "solve_spectrum", failing_fifth)
+        traj = bumpy_sphere_run()
+    assert traj.stopping_reason == "solver_failure"
+    return traj
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +289,35 @@ def test_report_skips_nonuniform_spacing(round_sphere_traj):
     skewed = SpectrumTrajectory(mesh=round_sphere_traj.mesh,
                                 mode=round_sphere_traj.mode, snapshots=snaps)
     assert variation_report(skewed) == []
+
+
+def window_fed_report(traj):
+    """Rows of ``report_window`` fed ``traj``'s snapshots one at a time."""
+    fed = SpectrumTrajectory(mesh=traj.mesh, mode=traj.mode)
+    rows = []
+    for snap in traj.snapshots:
+        # A copy, since the window drops the block of its oldest snapshot.
+        fed.snapshots.append(copy.copy(snap))
+        report_window(fed, rows)
+    return rows
+
+
+@pytest.mark.parametrize("fixture, n_snapshots, n_rows", [
+    ("bumpy_sphere_traj", 7, 30),     # 5 interior times x 6 simple branches
+    ("round_sphere_traj", 7, 10),     # 5 interior times x 2 shells
+    ("steady_torus_traj", 6, 8),      # 4 interior times x 2 clusters
+    ("ragged_end_traj", 7, 24),       # the last, uneven window is skipped
+    ("partial_failure_traj", 4, 12),  # 2 interior times before the stop
+])
+def test_window_fed_rows_equal_whole_report(fixture, n_snapshots, n_rows,
+                                            request):
+    traj = request.getfixturevalue(fixture)
+    assert len(traj.snapshots) == n_snapshots
+    whole = variation_report(traj)
+    assert len(whole) == n_rows
+    # Field for field, NaN equal to NaN.
+    assert_equal([dataclasses.asdict(row) for row in window_fed_report(traj)],
+                 [dataclasses.asdict(row) for row in whole])
 
 
 def test_relative_error_floor():
