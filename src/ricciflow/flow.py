@@ -13,7 +13,7 @@ state it was solved on plus its spectrum.
 
 import math
 import mmap
-from dataclasses import dataclass, field
+from dataclasses import KW_ONLY, InitVar, dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -45,21 +45,25 @@ class ConformalState:
     """Flow state: mesh, per-vertex log conformal factor, time.
 
     ``R`` is the scalar curvature of e^u g0, computed (and u validated)
-    once when the state is built.  ``mass_diag``, the vertex areas
-    base_vertex_area * e^u, is computed on first use; ``area`` and the
-    area-averaged curvature ``r_avg`` read it.  ``u`` must not be
-    modified in place afterwards.  States compare by identity: two
-    states are equal only if they are the same object.
+    once when the state is built; a snapshot is handed its flow state's
+    R through the keyword ``curvature`` instead.  ``mass_diag``, the
+    vertex areas base_vertex_area * e^u, is computed on first use;
+    ``area`` and the area-averaged curvature ``r_avg`` read it.  ``u``
+    must not be modified in place afterwards.  States compare by
+    identity: two states are equal only if they are the same object.
     """
 
     mesh: object
     u: np.ndarray
     t: float = 0.0
     R: np.ndarray = field(init=False, repr=False)
+    _: KW_ONLY
+    curvature: InitVar[np.ndarray] = None
 
-    def __post_init__(self):
+    def __post_init__(self, curvature):
         self.u = np.asarray(self.u, dtype=np.float64)
-        self.R = scalar_curvature(self.mesh, self.u)
+        self.R = (scalar_curvature(self.mesh, self.u) if curvature is None
+                  else curvature)
 
     @cached_property
     def mass_diag(self):
@@ -245,6 +249,7 @@ def _record(state, cfg, prev_snapshot):
         mesh=state.mesh,
         u=state.u,
         t=state.t,
+        curvature=state.R,
         eigenvalues=values,
         eigenvectors=_unpinned_copy(vectors),
         overlaps=overlaps,

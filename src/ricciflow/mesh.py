@@ -144,16 +144,19 @@ class Mesh:
 
     def _check_closed_oriented(self, n_vertices):
         f = self.faces
-        halfedges = np.concatenate([f[:, [0, 1]], f[:, [1, 2]], f[:, [2, 0]]])
-        code = halfedges[:, 0] * np.int64(n_vertices) + halfedges[:, 1]
-        uniq = np.unique(code)
-        if len(uniq) != len(code):
+        tail = f.ravel()
+        head = f[:, [1, 2, 0]].ravel()
+        n = np.int64(n_vertices)
+        # Directed half-edge codes are distinct exactly when no two faces
+        # share an edge in the same direction; then the surface is closed
+        # exactly when reversing every half-edge gives the same code set.
+        code = np.sort(tail * n + head)
+        if np.any(code[1:] == code[:-1]):
             raise MeshError(
                 "directed edge shared by two faces: non-manifold or "
                 "inconsistently oriented mesh"
             )
-        reverse = halfedges[:, 1] * np.int64(n_vertices) + halfedges[:, 0]
-        if not np.all(np.isin(reverse, uniq)):
+        if not np.array_equal(np.sort(head * n + tail), code):
             raise MeshError("mesh has boundary edges; a closed surface is required")
 
     @property
@@ -273,6 +276,11 @@ def build_icosphere(subdivisions, radius=1.0):
         ``MAX_SUBDIVISIONS``.  V = 10 * 4**subdivisions + 2.
     radius : float
         Sphere radius.
+
+    Each pass keeps the old vertices and appends one midpoint per edge,
+    numbered in order of the edge's first occurrence when the faces are
+    walked in order, each face's edges as (v0, v1), (v1, v2), (v2, v0).
+    Face f becomes faces 4f..4f+3.  Every output depends on this order.
     """
     if not isinstance(subdivisions, (int, np.integer)):
         raise ValueError("subdivisions must be an integer")
@@ -286,41 +294,36 @@ def build_icosphere(subdivisions, radius=1.0):
         raise ValueError("radius must be positive")
 
     t = (1.0 + math.sqrt(5.0)) / 2.0
-    verts = [
+    verts = np.array([
         (-1, t, 0), (1, t, 0), (-1, -t, 0), (1, -t, 0),
         (0, -1, t), (0, 1, t), (0, -1, -t), (0, 1, -t),
         (t, 0, -1), (t, 0, 1), (-t, 0, -1), (-t, 0, 1),
-    ]
-    norm = math.sqrt(1.0 + t * t)
-    verts = [(x / norm, y / norm, z / norm) for x, y, z in verts]
-    faces = list(_ICOSAHEDRON_FACES)
+    ]) / math.sqrt(1.0 + t * t)
+    faces = np.array(_ICOSAHEDRON_FACES, dtype=np.int64)
 
     for _ in range(subdivisions):
-        cache = {}
-        new_faces = []
+        n = len(verts)
+        # Edges face by face: (v0, v1), (v1, v2), (v2, v0).
+        tail = faces.ravel()
+        head = faces[:, [1, 2, 0]].ravel()
+        key = np.minimum(tail, head) * n + np.maximum(tail, head)
+        _, first, inverse = np.unique(key, return_index=True,
+                                      return_inverse=True)
+        # Midpoints are numbered in order of first occurrence.
+        order = np.argsort(first)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        edge = first[order]
+        mid = 0.5 * (verts[tail[edge]] + verts[head[edge]])
+        mx, my, mz = mid.T
+        mid /= np.sqrt(mx * mx + my * my + mz * mz)[:, None]
+        verts = np.concatenate([verts, mid])
+        m01, m12, m20 = (n + rank[inverse]).reshape(-1, 3).T
+        v0, v1, v2 = faces.T
+        faces = np.stack([v0, m01, m20, v1, m12, m01,
+                          v2, m20, m12, m01, m12, m20], axis=1).reshape(-1, 3)
 
-        def midpoint(i, j):
-            key = (i, j) if i < j else (j, i)
-            idx = cache.get(key)
-            if idx is None:
-                xi, yi, zi = verts[i]
-                xj, yj, zj = verts[j]
-                mx, my, mz = 0.5 * (xi + xj), 0.5 * (yi + yj), 0.5 * (zi + zj)
-                mn = math.sqrt(mx * mx + my * my + mz * mz)
-                idx = len(verts)
-                verts.append((mx / mn, my / mn, mz / mn))
-                cache[key] = idx
-            return idx
-
-        for v0, v1, v2 in faces:
-            m01 = midpoint(v0, v1)
-            m12 = midpoint(v1, v2)
-            m20 = midpoint(v2, v0)
-            new_faces += [(v0, m01, m20), (v1, m12, m01),
-                          (v2, m20, m12), (m01, m12, m20)]
-        faces = new_faces
-
-    return Mesh(radius * np.asarray(verts), np.asarray(faces))
+    return Mesh(radius * verts, faces)
 
 
 def build_flat_torus(n, m, l1=1.0, l2=1.0):
@@ -339,30 +342,19 @@ def build_flat_torus(n, m, l1=1.0, l2=1.0):
     dy = l2 / m
     diag = math.hypot(dx, dy)
 
+    i, j = np.divmod(np.arange(n * m), m)
     verts = np.zeros((n * m, 3))
-    for i in range(n):
-        for j in range(m):
-            verts[i * m + j, 0] = i * dx
-            verts[i * m + j, 1] = j * dy
+    verts[:, 0] = i * dx
+    verts[:, 1] = j * dy
 
-    faces = np.empty((2 * n * m, 3), dtype=np.int64)
-    lengths = np.empty((2 * n * m, 3))
-    idx = 0
-    for i in range(n):
-        for j in range(m):
-            v00 = i * m + j
-            v10 = ((i + 1) % n) * m + j
-            v11 = ((i + 1) % n) * m + (j + 1) % m
-            v01 = i * m + (j + 1) % m
-            # Cell split along the (v00, v11) diagonal; both triangles
-            # oriented counterclockwise in the (x, y) chart.
-            faces[idx] = (v00, v10, v11)
-            lengths[idx] = (dy, diag, dx)
-            idx += 1
-            faces[idx] = (v00, v11, v01)
-            lengths[idx] = (dx, dy, diag)
-            idx += 1
-
+    v00 = i * m + j
+    v10 = ((i + 1) % n) * m + j
+    v11 = ((i + 1) % n) * m + (j + 1) % m
+    v01 = i * m + (j + 1) % m
+    # Each cell is split along the (v00, v11) diagonal; both triangles
+    # are oriented counterclockwise in the (x, y) chart.
+    faces = np.stack([v00, v10, v11, v00, v11, v01], axis=1).reshape(-1, 3)
+    lengths = np.tile([(dy, diag, dx), (dx, dy, diag)], (n * m, 1))
     return Mesh(verts, faces, corner_lengths=lengths)
 
 

@@ -226,8 +226,28 @@ def test_recorded_snapshot_shares_the_state_factor():
     state = ConformalState(mesh, sphere_bump(mesh), t=0.25)
     snap = _record(state, FlowConfig(spectrum_k=3), None)
     assert snap.u is state.u and snap.mesh is mesh and snap.t == 0.25
-    assert np.array_equal(snap.R, state.R)
+    assert snap.R is state.R
     assert np.array_equal(snap.mass_diag, state.mass_diag)
+
+
+def test_run_evaluates_curvature_four_times_per_step(monkeypatch):
+    # Three RK4 stages and the new state; a snapshot takes its state's R.
+    mesh = build_icosphere(1, 1.0)
+    initial = ConformalState(mesh, sphere_bump(mesh))
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return scalar_curvature(*args)
+
+    monkeypatch.setattr(ricciflow.flow, "scalar_curvature", counting)
+    cfg = FlowConfig(mode="unnormalized", dt_init=1e-3, t_end=0.0105,
+                     record_every=1, spectrum_k=2)
+    traj = run(initial, cfg)
+    assert traj.stopping_reason == "t_end"
+    steps = len(traj.snapshots) - 1  # one snapshot per step, and t = 0
+    assert steps == 11
+    assert len(calls) == 4 * steps
 
 
 def _explicit_rk4_step(mesh, u, dt, mode):

@@ -10,6 +10,7 @@ from scipy import sparse
 from scipy.linalg import eigh
 
 from ricciflow.mesh import (
+    _ICOSAHEDRON_FACES,
     MAX_SUBDIVISIONS,
     DegenerateFaceError,
     Mesh,
@@ -90,6 +91,75 @@ def test_flat_torus_grid_guard():
         build_flat_torus(8, 8, l1=-1.0)
 
 
+# The per-edge loop builders the array builders replaced, kept as
+# bitwise references: every output depends on the vertex and face order.
+
+
+def loop_icosphere(subdivisions, radius):
+    t = (1.0 + math.sqrt(5.0)) / 2.0
+    norm = math.sqrt(1.0 + t * t)
+    verts = [(x / norm, y / norm, z / norm) for x, y, z in [
+        (-1, t, 0), (1, t, 0), (-1, -t, 0), (1, -t, 0),
+        (0, -1, t), (0, 1, t), (0, -1, -t), (0, 1, -t),
+        (t, 0, -1), (t, 0, 1), (-t, 0, -1), (-t, 0, 1)]]
+    faces = list(_ICOSAHEDRON_FACES)
+    for _ in range(subdivisions):
+        cache, new_faces = {}, []
+
+        def midpoint(i, j):
+            key = (min(i, j), max(i, j))
+            if key not in cache:
+                mx, my, mz = (0.5 * (a + b) for a, b in zip(verts[i], verts[j]))
+                mn = math.sqrt(mx * mx + my * my + mz * mz)
+                cache[key] = len(verts)
+                verts.append((mx / mn, my / mn, mz / mn))
+            return cache[key]
+
+        for v0, v1, v2 in faces:
+            m01, m12, m20 = midpoint(v0, v1), midpoint(v1, v2), midpoint(v2, v0)
+            new_faces += [(v0, m01, m20), (v1, m12, m01),
+                          (v2, m20, m12), (m01, m12, m20)]
+        faces = new_faces
+    return Mesh(radius * np.asarray(verts), np.asarray(faces))
+
+
+def loop_flat_torus(n, m, l1=1.0, l2=1.0):
+    dx, dy = l1 / n, l2 / m
+    diag = math.hypot(dx, dy)
+    verts = np.zeros((n * m, 3))
+    faces, lengths = [], []
+    for i in range(n):
+        for j in range(m):
+            verts[i * m + j, :2] = (i * dx, j * dy)
+            v00, v01 = i * m + j, i * m + (j + 1) % m
+            v10, v11 = ((i + 1) % n) * m + j, ((i + 1) % n) * m + (j + 1) % m
+            faces += [(v00, v10, v11), (v00, v11, v01)]
+            lengths += [(dy, diag, dx), (dx, dy, diag)]
+    return Mesh(verts, faces, corner_lengths=lengths)
+
+
+def assert_bitwise_equal_meshes(mesh, reference):
+    for name in ("vertices", "faces", "corner_lengths", "base_vertex_area"):
+        assert np.array_equal(getattr(mesh, name), getattr(reference, name))
+    for name in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(mesh.stiffness, name),
+                              getattr(reference.stiffness, name))
+
+
+@pytest.mark.parametrize("radius", [1.0, 2.5])
+@pytest.mark.parametrize("subdivisions", range(7))
+def test_icosphere_matches_loop_builder_bitwise(subdivisions, radius):
+    assert_bitwise_equal_meshes(build_icosphere(subdivisions, radius),
+                                loop_icosphere(subdivisions, radius))
+
+
+@pytest.mark.parametrize("grid", [(3, 3), (16, 16), (48, 48), (5, 7),
+                                  (8, 12, 0.7, 1.9)])
+def test_flat_torus_matches_loop_builder_bitwise(grid):
+    assert_bitwise_equal_meshes(build_flat_torus(*grid),
+                                loop_flat_torus(*grid))
+
+
 # ---------------------------------------------------------------------------
 # structural validation
 
@@ -105,6 +175,66 @@ def test_inconsistent_orientation_rejected():
     verts = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
     with pytest.raises(MeshError, match="orient"):
         Mesh(verts, [(0, 1, 2), (0, 1, 3)])
+
+
+SHARED_EDGE = ("directed edge shared by two faces: non-manifold or "
+               "inconsistently oriented mesh")
+BOUNDARY = "mesh has boundary edges; a closed surface is required"
+
+
+def set_based_closedness_error(faces, n_vertices):
+    """The closedness check by set membership, as a reference."""
+    halfedges = np.concatenate([faces[:, [0, 1]], faces[:, [1, 2]],
+                                faces[:, [2, 0]]])
+    code = halfedges[:, 0] * n_vertices + halfedges[:, 1]
+    uniq = np.unique(code)
+    if len(uniq) != len(code):
+        return SHARED_EDGE
+    reverse = halfedges[:, 1] * n_vertices + halfedges[:, 0]
+    if not np.all(np.isin(reverse, uniq)):
+        return BOUNDARY
+    return None
+
+
+CLOSED_CASES = (build_icosphere(2, 1.0), build_flat_torus(6, 6, 1.0, 1.0))
+
+
+@given(st.data())
+def test_closedness_check_matches_set_based_reference(data):
+    mesh = data.draw(st.sampled_from(CLOSED_CASES))
+    faces, lengths = mesh.faces.copy(), mesh.corner_lengths.copy()
+    damage = data.draw(st.sampled_from(["delete", "reverse", "duplicate"]))
+    if damage == "delete":
+        # Possibly none, never all: an empty mesh has no mean face area.
+        drop = data.draw(st.sets(st.integers(0, mesh.n_faces - 1),
+                                 max_size=mesh.n_faces - 1))
+        keep = np.setdiff1d(np.arange(mesh.n_faces), sorted(drop))
+        faces, lengths = faces[keep], lengths[keep]
+    else:
+        f = data.draw(st.integers(0, mesh.n_faces - 1))
+        if damage == "reverse":
+            faces[f] = faces[f, [0, 2, 1]]
+            lengths[f] = lengths[f, [0, 2, 1]]
+        else:
+            faces = np.insert(faces, f, faces[f], axis=0)
+            lengths = np.insert(lengths, f, lengths[f], axis=0)
+    expected = set_based_closedness_error(faces, mesh.n_vertices)
+    try:
+        Mesh(mesh.vertices, faces, corner_lengths=lengths)
+    except MeshError as exc:
+        assert str(exc) == expected
+    else:
+        assert expected is None
+
+
+def test_three_faces_on_one_edge_rejected():
+    # A closed tetrahedron plus a fin on its edge 0-1.
+    verts = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)]
+    faces = np.array([(0, 2, 1), (0, 1, 3), (0, 3, 2), (1, 2, 3), (0, 1, 4)])
+    assert set_based_closedness_error(faces, 5) == SHARED_EDGE
+    with pytest.raises(MeshError) as info:
+        Mesh(verts, faces)
+    assert str(info.value) == SHARED_EDGE
 
 
 def test_face_index_out_of_range_rejected():

@@ -133,10 +133,10 @@ def relative_residual(stiffness, mdiag, lam, f):
 
 def test_cut_clusters_meet_residual_contract():
     # Each of these calls asks for a pair set that ends inside the 3- or
-    # 5-fold icosphere cluster or the 4-fold torus cluster.  ARPACK
-    # misses the contract on a first solve for ico2 (c, k) = (0.3, 1),
-    # (0.7, 5), (2.5, 4), (2.5, 6) and torus (0.7, 6); the guard-pair
-    # retry must recover every one of them.
+    # 5-fold icosphere cluster or the 4-fold torus cluster.  Counted by
+    # wrapping ``spectral.lowest_pairs`` (NumPy 2.4, SciPy 1.17), all 44
+    # cases meet the contract on their first solve; the guard-pair retry
+    # is there for a first solve that roundoff pushes past it.
     torus = build_flat_torus(16, 16, 1.0, 1.0)
     ico = build_icosphere(2, 1.0)
     cases = [(ico, c, k) for c in (0.3, 0.7, 1.0, 2.5) for k in range(1, 10)]
