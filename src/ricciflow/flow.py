@@ -45,10 +45,11 @@ class ConformalState:
     """Flow state: mesh, per-vertex log conformal factor, time.
 
     ``R`` is the scalar curvature of e^u g0, computed (and u validated)
-    once when the state is built; a snapshot is handed its flow state's
-    R through the keyword ``curvature`` instead.  ``mass_diag``, the
-    vertex areas base_vertex_area * e^u, is computed on first use;
-    ``area`` and the area-averaged curvature ``r_avg`` read it.  ``u``
+    once when the state is built.  ``mass_diag``, the vertex areas
+    base_vertex_area * e^u, is computed on first use; ``area`` and the
+    area-averaged curvature ``r_avg`` read it.  A snapshot takes R and
+    ``mass_diag`` from the flow state it was solved on (keyword ``state``,
+    of the same mesh and u) instead.  ``u``
     must not be modified in place afterwards.  States compare by
     identity: two states are equal only if they are the same object.
     """
@@ -58,12 +59,15 @@ class ConformalState:
     t: float = 0.0
     R: np.ndarray = field(init=False, repr=False)
     _: KW_ONLY
-    curvature: InitVar[np.ndarray] = None
+    state: InitVar["ConformalState"] = None
 
-    def __post_init__(self, curvature):
+    def __post_init__(self, state):
         self.u = np.asarray(self.u, dtype=np.float64)
-        self.R = (scalar_curvature(self.mesh, self.u) if curvature is None
-                  else curvature)
+        if state is None:
+            self.R = scalar_curvature(self.mesh, self.u)
+        else:
+            self.R = state.R
+            vars(self)["mass_diag"] = state.mass_diag
 
     @cached_property
     def mass_diag(self):
@@ -249,7 +253,7 @@ def _record(state, cfg, prev_snapshot):
         mesh=state.mesh,
         u=state.u,
         t=state.t,
-        curvature=state.R,
+        state=state,
         eigenvalues=values,
         eigenvectors=_unpinned_copy(vectors),
         overlaps=overlaps,

@@ -152,12 +152,12 @@ def perelman_lambda(snapshot, tol=DEFAULT_TOL):
     Discretization of the lowest eigenvalue of -4 Delta + R, which is
     nondecreasing along the unnormalized flow.  L, R and M are the
     snapshot's own stiffness, curvature and mass diagonal.
-    The pencil is solved by ``spectral.bottom_pair``, whose shift-invert
-    factorization, when it needs one, reuses the nested-dissection order
-    of the Laplace pencil.  The pair must meet the same contract,
-    ||A f - mu M f|| <= tol * ||M f||; otherwise, or when Lanczos does
-    not converge, ``EigenSolverError`` is raised with that relative
-    residual (or None) as ``best_residual``.
+    The pencil is solved by ``spectral.bottom_pair``'s LOBPCG, whose
+    shift-invert preconditioner, when it needs one, reuses the
+    nested-dissection order of the Laplace pencil.  The pair must meet
+    the same contract, ||A f - mu M f|| <= tol * ||M f||; otherwise
+    ``EigenSolverError`` is raised with the relative residual of
+    LOBPCG's best iterate as ``best_residual``.
     """
     mdiag = snapshot.mass_diag
     pencil = 4.0 * snapshot.mesh.stiffness + sparse.diags(mdiag * snapshot.R)

@@ -227,7 +227,7 @@ def test_recorded_snapshot_shares_the_state_factor():
     snap = _record(state, FlowConfig(spectrum_k=3), None)
     assert snap.u is state.u and snap.mesh is mesh and snap.t == 0.25
     assert snap.R is state.R
-    assert np.array_equal(snap.mass_diag, state.mass_diag)
+    assert snap.mass_diag is state.mass_diag
 
 
 def test_run_evaluates_curvature_four_times_per_step(monkeypatch):
