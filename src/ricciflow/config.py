@@ -12,7 +12,7 @@ with their line number; every omitted key takes a documented default.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .flow import MODES, FlowConfig
 
@@ -77,40 +77,16 @@ def _parse_str(raw):
     return raw
 
 
+# The spec sections take their keys and value types from the dataclass
+# fields they fill.
+_PARSERS = {int: _parse_int, float: _parse_float, str: _parse_str}
 _SECTION_KEYS = {
-    "geometry": {
-        "kind": _parse_str,
-        "subdivisions": _parse_int,
-        "radius": _parse_float,
-        "n": _parse_int,
-        "m": _parse_int,
-        "l1": _parse_float,
-        "l2": _parse_float,
-        "path": _parse_str,
-    },
-    "perturbation": {
-        "amplitude": _parse_float,
-        "mode": _parse_int,
-        "seed": _parse_int,
-    },
-    "flow": {
-        "mode": _parse_str,
-        "dt_init": _parse_float,
-        "t_end": _parse_float,
-        "cfl_safety": _parse_float,
-        "curvature_cap": _parse_float,
-        "area_floor": _parse_float,
-        "spectrum_k": _parse_int,
-        "record_every": _parse_int,
-        "solver_tol": _parse_float,
-        "stop_when_round": _parse_float,
-    },
-    "output": {
-        "directory": _parse_str,
-    },
-    "experiment": {
-        "name": _parse_str,
-    },
+    **{section: {f.name: _PARSERS[f.type] for f in fields(spec)}
+       for section, spec in (("geometry", GeometrySpec),
+                             ("perturbation", PerturbationSpec),
+                             ("flow", FlowConfig))},
+    "output": {"directory": _parse_str},
+    "experiment": {"name": _parse_str},
 }
 
 _GEOMETRY_REQUIRED = {

@@ -1,7 +1,10 @@
+from dataclasses import fields
+
 import pytest
 
 from ricciflow.cli import main
 from ricciflow.config import (
+    _GEOMETRY_ALLOWED,
     ConfigError,
     ExperimentConfig,
     GeometrySpec,
@@ -109,6 +112,45 @@ def test_unknown_key():
     err = error_from("[geometry]\nkind = icosphere\ncolour = red\n")
     assert "unknown key 'colour'" in str(err)
     assert err.line == 3
+
+
+SPEC_SECTIONS = (("geometry", GeometrySpec),
+                 ("perturbation", PerturbationSpec),
+                 ("flow", FlowConfig))
+
+
+def raw_value(f, kind):
+    """A valid config value for field ``f``, in a geometry of ``kind``."""
+    if f.type is str:
+        return {"kind": kind, "path": "mesh.off", "mode": "normalized"}[f.name]
+    return {int: "3", float: "0.25"}[f.type]
+
+
+def test_every_spec_field_is_a_key_parsed_to_its_type():
+    covered = set()
+    for kind, allowed in _GEOMETRY_ALLOWED.items():
+        keys = [(section, f) for section, spec in SPEC_SECTIONS
+                for f in fields(spec)
+                if section != "geometry" or f.name in allowed]
+        config = parse_config("".join(
+            f"[{section}]\n{f.name} = {raw_value(f, kind)}\n"
+            for section, f in keys))
+        for section, f in keys:
+            value = getattr(getattr(config, section), f.name)
+            assert type(value) is f.type, (section, f.name)
+            assert value == f.type(raw_value(f, kind))
+            covered.add((section, f.name))
+    assert covered == {(section, f.name) for section, spec in SPEC_SECTIONS
+                       for f in fields(spec)}
+
+
+@pytest.mark.parametrize("section, key", [("geometry", "amplitude"),
+                                          ("perturbation", "dt_init"),
+                                          ("flow", "radius")])
+def test_a_field_of_another_section_is_an_unknown_key(section, key):
+    err = error_from(f"{MINIMAL}[{section}]\n\n{key} = 1\n")
+    assert f"unknown key {key!r} in [{section}]" in str(err)
+    assert err.line == 5
 
 
 def test_duplicate_key():
