@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import mmap
 import warnings
 
 import numpy as np
@@ -14,6 +15,7 @@ from ricciflow.flow import (
     SpectrumSnapshot,
     SpectrumTrajectory,
     _record,
+    _unpinned_copy,
     run,
     scalar_curvature_evolution_residual,
     step,
@@ -287,6 +289,33 @@ def test_tracking_metadata_on_smooth_run():
         assert snap.tracking_warnings == []
         assert snap.overlaps.min() > 0.99
     assert traj.mesh is mesh
+
+
+def test_snapshot_blocks_live_in_their_own_mappings():
+    mesh = build_icosphere(2, 1.0)
+    cfg = FlowConfig(mode="normalized", dt_init=1e-3, t_end=0.02,
+                     record_every=10, spectrum_k=4)
+    traj = run(ConformalState(mesh, sphere_bump(mesh)), cfg)
+    for snap in traj.snapshots:
+        block = snap.eigenvectors
+        assert isinstance(block.base, mmap.mmap)
+        assert block.shape == (mesh.n_vertices, 5)
+        assert block.flags.f_contiguous and block.flags.writeable
+    # Distinct mappings: no snapshot shares another's block.
+    assert len({id(s.eigenvectors.base) for s in traj.snapshots}) == \
+        len(traj.snapshots)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_unpinned_copy_keeps_values_and_layout(order):
+    block = np.asarray(np.random.default_rng(0).normal(size=(7, 3)),
+                       order=order)
+    copy = _unpinned_copy(block)
+    assert np.array_equal(copy, block)
+    assert copy.flags.c_contiguous == block.flags.c_contiguous
+    assert copy.flags.f_contiguous == block.flags.f_contiguous
+    copy[0, 0] += 1.0
+    assert copy[0, 0] != block[0, 0]
 
 
 # ---------------------------------------------------------------------------
