@@ -10,8 +10,9 @@ solved on.  Both pencils are factored by ``shift_invert``, at most once
 per solve, in a nested-dissection order computed once per sparsity
 pattern.  As M is diagonal, ARPACK runs in standard mode on one
 symmetric operator (``symmetric_inverse``) with the constant mode
-deflated; the Perelman pencil's bottom pair comes from LOBPCG alone
-(``bottom_pair``), preconditioned by that pencil's factor.
+deflated; the Perelman pencil 4L + M diag(R) is solved for its bottom
+eigenvalue by LOBPCG alone (``perelman_lambda``), preconditioned by
+that pencil's factor.
 
 The package's own products of per-vertex eigenvector blocks are
 elementwise reductions (``mass_gram``, ``_relative_residuals``), never
@@ -43,7 +44,7 @@ _V0_SEED = 20170
 _GUARD_PAIRS = (0, 1, 2)
 # Parts this small are not dissected further; they keep vertex order.
 _LEAF_SIZE = 12
-# Cap on the operator solves of ``bottom_pair``'s LOBPCG: the most that met
+# Cap on ``perelman_lambda``'s LOBPCG operator solves: the most that met
 # the contract over 279 rough and smooth conformal factors was 776
 # (icosphere 5, white noise of amplitude 0.5; the sweep is in CHANGES.md).
 _LOBPCG_STEPS = 1000
@@ -231,24 +232,27 @@ def lowest_pairs(stiffness, mdiag, operator, nev):
     return vals[order], g[:, order] / root
 
 
-def bottom_pair(pencil, mdiag, sigma, tol, what):
-    """Smallest eigenpair ``(mu, f)`` of pencil f = mu diag(mdiag) f.
+def perelman_lambda(snapshot, tol=DEFAULT_TOL):
+    """Smallest eigenvalue mu of the pencil (4L + M diag(R)) f = mu M f.
 
-    ``pencil`` is symmetric and ``sigma`` lies strictly below its
-    spectrum.  The constant of unit M-norm is tried first and returned
-    with its Rayleigh quotient when it meets the contract, so a pencil
-    whose bottom eigenvector is the constant (zero curvature) is solved
-    without a factorization.  Otherwise ``pencil - sigma M`` is factored
-    once (see ``shift_invert``), and the pair comes from one call of
-    SciPy's single-vector LOBPCG (A. V. Knyazev, SIAM J. Sci. Comput.
-    23(2), 2001), started from the constant and preconditioned by that
-    factor, with at most ``_LOBPCG_STEPS`` operator solves.  f has unit
-    M-norm, and the pair meets ||A f - mu M f|| <= tol * ||M f||;
-    otherwise ``EigenSolverError`` is raised with the relative residual
-    of LOBPCG's best iterate as ``best_residual``; ``what`` names the
-    pencil.
+    Discretization of the lowest eigenvalue of -4 Delta + R, which is
+    nondecreasing along the unnormalized flow.  L, R and M are the
+    snapshot's own stiffness, curvature and mass diagonal.  The constant
+    of unit M-norm is tried first, and its Rayleigh quotient is returned
+    when it meets the contract, so a pencil whose bottom eigenvector is
+    the constant (zero curvature) is solved without a factorization.
+    Otherwise the pencil shifted by R_min - 1 is factored once (see
+    ``shift_invert``, which reuses the Laplace pencil's order), and mu
+    comes from one call of SciPy's single-vector LOBPCG (A. V. Knyazev,
+    SIAM J. Sci. Comput. 23(2), 2001), started from the constant and
+    preconditioned by that factor, with at most ``_LOBPCG_STEPS``
+    operator solves.  The pair must meet ||A f - mu M f|| <= tol * ||M f||
+    for f of unit M-norm; otherwise ``EigenSolverError`` is raised with
+    the relative residual of LOBPCG's best iterate as ``best_residual``.
     """
     _check_tol(tol)
+    mdiag = snapshot.mass_diag
+    pencil = 4.0 * snapshot.mesh.stiffness + sparse.diags(mdiag * snapshot.R)
 
     def quotient_and_residual(f):
         mu = float(np.einsum("i,i->", f, pencil @ f))
@@ -258,8 +262,10 @@ def bottom_pair(pencil, mdiag, sigma, tol, what):
     f = np.full(len(mdiag), 1.0 / np.sqrt(mdiag.sum()))
     mu, residual = quotient_and_residual(f)
     if residual <= tol:
-        return mu, f
-    solve = shift_invert(pencil - sigma * sparse.diags(mdiag))
+        return mu
+    # Rayleigh quotient >= min(R), so this shift sits strictly below
+    # the whole spectrum and the shifted pencil is positive definite.
+    solve = shift_invert(pencil - (snapshot.R_min - 1.0) * sparse.diags(mdiag))
     with warnings.catch_warnings():
         # A miss is judged by the contract, not by LOBPCG's warning.
         warnings.simplefilter("ignore", UserWarning)
@@ -274,9 +280,10 @@ def bottom_pair(pencil, mdiag, sigma, tol, what):
     mu, residual = quotient_and_residual(f)
     if residual > tol:
         raise EigenSolverError(
-            f"{what}: residual {residual:.3e} exceeds tolerance {tol:.1e} "
-            f"within {_LOBPCG_STEPS} LOBPCG solves", best_residual=residual)
-    return mu, f
+            f"curvature-shifted pencil: residual {residual:.3e} exceeds "
+            f"tolerance {tol:.1e} within {_LOBPCG_STEPS} LOBPCG solves",
+            best_residual=residual)
+    return mu
 
 
 def shift_invert(pencil):

@@ -7,28 +7,27 @@ lambda * int f^2 R - int R |grad f|^2 + 2 int Ric(grad f, grad f)
 collapses to that surface form through Ric = (R/2) g in 2D, so only the
 surface form is evaluated.  This module compares it against finite
 differences of the recorded eigenvalue branches, checks the
-normalization-derived integrability conditions, and exposes the
-curvature-shifted pencil eigenvalue 4L + M diag(R) whose smallest
-eigenvalue is nondecreasing along the unnormalized flow.  All of them
-read the curvature R and the measure dmu (``mass_diag``) that each
-snapshot carries.  Branch i of a snapshot is entry i of its
-``eigenvalues`` with column i of its ``eigenvectors`` block as f.
+normalization-derived integrability conditions, and re-exports
+``spectral.perelman_lambda``, the smallest eigenvalue of the
+curvature-shifted pencil 4L + M diag(R), which is nondecreasing along
+the unnormalized flow.  All of them read the curvature R and the
+measure dmu (``mass_diag``) that each snapshot carries.  Branch i of a
+snapshot is entry i of its ``eigenvalues`` with column i of its
+``eigenvectors`` block as f.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from .flow import central_window
 from .mesh import integrate
 from .spectral import (
-    DEFAULT_TOL,
     TRACKING_OVERLAP_FLOOR,
-    bottom_pair,
     eigenvalue_clusters,
     mass_gram,
+    perelman_lambda,
 )
 
 NORMALIZATION_SLACK = 1e-6
@@ -144,29 +143,6 @@ def integrability_residuals(traj, t_index, eigen_index, allow_cluster=False):
     else:
         res_second = abs(ffdot - 0.5 * f2r)
     return res_first, res_second
-
-
-def perelman_lambda(snapshot, tol=DEFAULT_TOL):
-    """Smallest eigenvalue of the pencil (4L + M diag(R)) f = mu M f.
-
-    Discretization of the lowest eigenvalue of -4 Delta + R, which is
-    nondecreasing along the unnormalized flow.  L, R and M are the
-    snapshot's own stiffness, curvature and mass diagonal.
-    The pencil is solved by ``spectral.bottom_pair``'s LOBPCG, whose
-    shift-invert preconditioner, when it needs one, reuses the
-    nested-dissection order of the Laplace pencil.  The pair must meet
-    the same contract, ||A f - mu M f|| <= tol * ||M f||; otherwise
-    ``EigenSolverError`` is raised with the relative residual of
-    LOBPCG's best iterate as ``best_residual``.
-    """
-    mdiag = snapshot.mass_diag
-    pencil = 4.0 * snapshot.mesh.stiffness + sparse.diags(mdiag * snapshot.R)
-
-    # Rayleigh quotient >= min(R), so this shift sits strictly below
-    # the whole spectrum and shift-invert targets the bottom eigenvalue.
-    mu, _ = bottom_pair(pencil, mdiag, snapshot.R_min - 1.0, tol,
-                        "curvature-shifted pencil")
-    return mu
 
 
 def rate_bound_check(fd_rate, lam, dim, tol=1e-9):

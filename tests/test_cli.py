@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -286,7 +290,7 @@ def test_perelman_failure_flushes_partial_outputs(tmp_path, capsys,
     expected = []
 
     def missed_lobpcg(pencil, start, B, **kwargs):
-        # A column that misses the contract; bottom_pair M-normalizes it
+        # A column that misses the contract; perelman_lambda M-normalizes it
         # and reports its residual at its Rayleigh quotient.
         column = np.random.default_rng(0).standard_normal(start.shape)
         mdiag = B.diagonal()
@@ -457,3 +461,19 @@ def test_main_requires_a_subcommand():
     with pytest.raises(SystemExit) as excinfo:
         main([])
     assert excinfo.value.code == 2
+
+
+@pytest.mark.parametrize("args, code, message", [
+    ([], 2, "usage:"),
+    (["verify", "--config", "nope.cfg"], 3, "config error"),
+])
+def test_python_m_ricciflow_exits_with_main_code(tmp_path, args, code,
+                                                 message):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "ricciflow", *args],
+                          cwd=tmp_path, env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == code
+    assert message in done.stderr

@@ -482,6 +482,10 @@ def test_solve_spectrum_rejects_bad_mass_diag_before_factoring(case,
 # Perelman pencil 4L + M diag(R): LOBPCG alone
 
 
+def test_variation_reexports_the_perelman_solver():
+    assert variation.perelman_lambda is spectral.perelman_lambda
+
+
 def curvature_snapshot(mesh, u):
     return snapshot_from_spectrum(mesh, np.zeros(0),
                                   np.zeros((mesh.n_vertices, 0)), u)
@@ -521,15 +525,15 @@ def test_perelman_lambda_is_the_checked_bottom_of_the_pencil(mesh, amplitude,
     snap = curvature_snapshot(mesh, u)
     mdiag, R = snap.mass_diag, snap.R
     pencil = 4.0 * mesh.stiffness + diags(mdiag * R)
-    real_bottom_pair = variation.bottom_pair
-    solved = []
+    real_residuals = spectral._relative_residuals
+    checked = []
 
-    def recording(*args, **kwargs):
-        solved.append(real_bottom_pair(*args, **kwargs))
-        return solved[-1]
+    def recording(matrix, masses, vals, block):
+        checked.append((vals, block))
+        return real_residuals(matrix, masses, vals, block)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(variation, "bottom_pair", recording)
+        patch.setattr(spectral, "_relative_residuals", recording)
         mu = perelman_lambda(snap)
 
     reference = eigh(pencil.toarray(), np.diag(mdiag), eigvals_only=True,
@@ -538,10 +542,11 @@ def test_perelman_lambda_is_the_checked_bottom_of_the_pencil(mesh, amplitude,
     # the scale of the pencil, not of R.
     assert_allclose(mu, reference, rtol=1e-10,
                     atol=1e-10 * max(np.abs(R).max(), 1.0))
-    (recorded, f), = solved
-    assert mu == recorded
-    assert (np.linalg.norm(pencil @ f - mu * mdiag * f)
-            <= spectral.DEFAULT_TOL * np.linalg.norm(mdiag * f))
+    # The last residual checked is that of the returned mu.
+    vals, block = checked[-1]
+    assert vals.tolist() == [mu] and block.shape == (mesh.n_vertices, 1)
+    assert (relative_residual(pencil, mdiag, mu, block[:, 0])
+            <= spectral.DEFAULT_TOL)
 
 
 def test_perelman_residual_miss_is_an_error():
@@ -588,24 +593,13 @@ def counted_lu(monkeypatch):
                                   build_flat_torus(5, 17, 2.0, 0.5),
                                   build_flat_torus(48, 48, 1.0, 1.0)])
 def test_flat_torus_perelman_needs_no_factorization(mesh, monkeypatch):
-    counts = counted_lu(monkeypatch)
-    mu = perelman_lambda(curvature_snapshot(mesh, np.zeros(mesh.n_vertices)))
-    assert abs(mu) <= 1e-10
-    assert counts == {"factorizations": 0, "solves": 0}
-
-
-def test_converged_constant_is_returned_before_lobpcg(monkeypatch):
-    mesh = build_flat_torus(8, 8, 1.0, 1.0)
-    mdiag = mesh.base_vertex_area
-
+    # The constant meets the contract, so it is returned before LOBPCG.
     def unreachable(*args, **kwargs):
         raise AssertionError("LOBPCG ran on a converged constant")
 
     counts = counted_lu(monkeypatch)
     monkeypatch.setattr(spectral, "lobpcg", unreachable)
-    mu, f = spectral.bottom_pair(4.0 * mesh.stiffness, mdiag, -1.0,
-                                 spectral.DEFAULT_TOL, "test")
-    assert np.all(f == 1.0 / np.sqrt(mdiag.sum()))
+    mu = perelman_lambda(curvature_snapshot(mesh, np.zeros(mesh.n_vertices)))
     assert abs(mu) <= 1e-10
     assert counts == {"factorizations": 0, "solves": 0}
 
@@ -654,10 +648,24 @@ def test_white_noise_torus_perelman_meets_the_contract(monkeypatch):
     assert rough_perelman_meets_reference(mesh, u, monkeypatch) <= 40
 
 
+def test_perelman_lobpcg_stops_at_its_cap(monkeypatch):
+    # Real LOBPCG on a pencil it cannot solve to the contract: SciPy
+    # applies the preconditioner at most maxiter + 1 times, so one factor
+    # serves exactly _LOBPCG_STEPS solves before the miss is reported.
+    mesh = build_flat_torus(48, 48)
+    u = np.random.default_rng(0).standard_normal(mesh.n_vertices)
+    counts = counted_lu(monkeypatch)
+    with pytest.raises(EigenSolverError, match="^curvature-shifted pencil"
+                       ".*within 1000 LOBPCG solves") as info:
+        perelman_lambda(curvature_snapshot(mesh, u))
+    assert counts == {"factorizations": 1, "solves": 1000}
+    assert info.value.best_residual > spectral.DEFAULT_TOL
+
+
 TOL_ENTRY_POINTS = {
     "solve_spectrum": lambda mesh, u, tol: solve_spectrum(
         mesh.stiffness, mesh.base_vertex_area * np.exp(u), k=4, tol=tol),
-    "bottom_pair": lambda mesh, u, tol: perelman_lambda(
+    "perelman_lambda": lambda mesh, u, tol: perelman_lambda(
         curvature_snapshot(mesh, u), tol=tol),
 }
 
