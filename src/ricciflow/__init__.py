@@ -14,7 +14,6 @@ from .flow import (
     SpectrumSnapshot,
     SpectrumTrajectory,
     run,
-    scalar_curvature_evolution_residual,
     step,
 )
 from .mesh import (
@@ -37,6 +36,7 @@ from .spectral import (
     solve_spectrum,
     track,
 )
+from .variation import scalar_curvature_evolution_residual
 
 __version__ = "0.1.0"
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import variation
 from .config import EXPERIMENTS, ConfigError, parse_config
-from .flow import ConformalState, SpectrumTrajectory, run
+from .flow import ConformalState, run
 from .mesh import (
     build_flat_torus,
     build_icosphere,
@@ -133,16 +133,15 @@ def report_window(traj, rows):
 
     Called after every recorded snapshot, this reports each interior time
     once, from the same three snapshots and in the same order as
-    ``variation.variation_report(traj)``.  The window's oldest snapshot
-    then drops its eigenvectors: no later window, and no tracking step,
-    reads them.
+    ``variation.variation_report`` on the whole run.  The window's oldest
+    snapshot then drops its eigenvectors: no later window, and no
+    tracking step, reads them.
     """
     if len(traj.snapshots) < 3:
         return
-    window = SpectrumTrajectory(mesh=traj.mesh, mode=traj.mode,
-                                snapshots=traj.snapshots[-3:])
-    rows.extend(variation.variation_report(window))
-    window.snapshots[0].eigenvectors = None
+    window = traj.snapshots[-3:]
+    rows.extend(variation.variation_report(window, traj.mode))
+    window[0].eigenvectors = None
 
 
 def _nondecreasing(series, slack):

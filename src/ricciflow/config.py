@@ -180,9 +180,10 @@ def parse_config(text):
     if not math.isfinite(perturbation.amplitude):
         raise ConfigError("amplitude must be finite",
                           line=lines.get(("perturbation", "amplitude")))
-    if perturbation.amplitude < 0:
-        raise ConfigError("amplitude must be nonnegative",
-                          line=lines.get(("perturbation", "amplitude")))
+    for key in ("amplitude", "seed"):
+        if getattr(perturbation, key) < 0:
+            raise ConfigError(f"{key} must be nonnegative",
+                              line=lines.get(("perturbation", key)))
     if perturbation.mode not in PERTURBATION_MODES:
         raise ConfigError(
             f"perturbation mode must be one of {PERTURBATION_MODES}",

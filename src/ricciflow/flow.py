@@ -115,7 +115,7 @@ class FlowConfig:
     """Run parameters for the flow driver.
 
     ``area_floor`` defaults to 1e-6 times the initial area when unset.
-    ``stop_when_round`` (normalized runs) halts once the pointwise
+    ``stop_when_round`` halts a run of either mode once the pointwise
     curvature spread R_max - R_min drops below the given value; zero
     disables the check.
     """
@@ -351,39 +351,3 @@ def run(initial, cfg, on_record=None):
         )
     return traj
 
-
-def central_window(traj, t_index):
-    """``(s_prev, s_mid, s_next, h)`` around an interior recorded time.
-
-    Central differences need the neighbors of ``t_index`` at one equal
-    spacing ``h``; anything else is a ``ValueError``.
-    """
-    if t_index < 1 or t_index > len(traj.snapshots) - 2:
-        raise ValueError("t_index must be interior to the recorded range")
-    s_prev, s_mid, s_next = traj.snapshots[t_index - 1:t_index + 2]
-    h1 = s_mid.t - s_prev.t
-    h2 = s_next.t - s_mid.t
-    if h1 <= 0 or h2 <= 0:
-        raise ValueError("snapshot times must be strictly increasing")
-    if abs(h1 - h2) > 1e-9 * max(h1, h2):
-        raise ValueError(
-            f"recording spacing is not uniform ({h1:.3e} vs {h2:.3e}); "
-            "central differences need equal intervals"
-        )
-    return s_prev, s_mid, s_next, 0.5 * (h1 + h2)
-
-
-def scalar_curvature_evolution_residual(traj, t_index):
-    """Residual of the curvature evolution law dR/dt = Delta R + R^2.
-
-    Central-differences R between the recorded neighbors of
-    ``t_index`` and subtracts Delta_{g(t)} R + R^2 evaluated at the
-    middle snapshot, with the geometer's Laplacian
-    Delta_g R = -(L R) / (base_vertex_area * e^u).  Returns the
-    per-vertex residual array; it vanishes to O(h^2) on exact flows.
-    """
-    s_prev, s_mid, s_next, h = central_window(traj, t_index)
-    mesh = traj.mesh
-    drdt = (s_next.R - s_prev.R) / (2.0 * h)
-    laplace_r = -(mesh.stiffness @ s_mid.R) / s_mid.mass_diag
-    return drdt - (laplace_r + s_mid.R**2)

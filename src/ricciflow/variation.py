@@ -5,15 +5,15 @@ d(lambda)/dt = lambda * int f^2 R dmu; the normalized flow subtracts
 r * lambda.  The general dimension-n form
 lambda * int f^2 R - int R |grad f|^2 + 2 int Ric(grad f, grad f)
 collapses to that surface form through Ric = (R/2) g in 2D, so only the
-surface form is evaluated.  This module compares it against finite
+surface form is evaluated.  This module compares it against central
 differences of the recorded eigenvalue branches, checks the
-normalization-derived integrability conditions, and re-exports
-``spectral.perelman_lambda``, the smallest eigenvalue of the
-curvature-shifted pencil 4L + M diag(R), which is nondecreasing along
-the unnormalized flow.  All of them read the curvature R and the
-measure dmu (``mass_diag``) that each snapshot carries.  Branch i of a
-snapshot is entry i of its ``eigenvalues`` with column i of its
-``eigenvectors`` block as f.
+normalization-derived integrability conditions and the curvature
+evolution law, and re-exports ``spectral.perelman_lambda``, the smallest
+eigenvalue of the curvature-shifted pencil 4L + M diag(R), which is
+nondecreasing along the unnormalized flow.  All of them read the
+curvature R and the measure dmu (``mass_diag``) that each snapshot
+carries.  Branch i of a snapshot is entry i of its ``eigenvalues`` with
+column i of its ``eigenvectors`` block as f.
 """
 
 import math
@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flow import central_window
 from .mesh import integrate
 from .spectral import (
     TRACKING_OVERLAP_FLOOR,
@@ -59,14 +58,49 @@ def rhs_normalized_surface(snapshot, index):
             - snapshot.r_avg * snapshot.eigenvalues[index])
 
 
-def finite_difference_rate(traj, t_index, members):
-    """Central-difference eigenvalue rate at a recorded interior time.
+def central_window(window):
+    """``(s_prev, s_mid, s_next, h)`` of a window of three snapshots.
+
+    Central differences need exactly three snapshots at one equal
+    spacing ``h``; anything else is a ``ValueError``.
+    """
+    if len(window) != 3:
+        raise ValueError(f"window holds {len(window)} snapshots, not three")
+    s_prev, s_mid, s_next = window
+    h1 = s_mid.t - s_prev.t
+    h2 = s_next.t - s_mid.t
+    if h1 <= 0 or h2 <= 0:
+        raise ValueError("snapshot times must be strictly increasing")
+    if abs(h1 - h2) > 1e-9 * max(h1, h2):
+        raise ValueError(
+            f"recording spacing is not uniform ({h1:.3e} vs {h2:.3e}); "
+            "central differences need equal intervals"
+        )
+    return s_prev, s_mid, s_next, 0.5 * (h1 + h2)
+
+
+def scalar_curvature_evolution_residual(window):
+    """Residual of the curvature evolution law dR/dt = Delta R + R^2.
+
+    Central-differences R across the window and subtracts Delta R + R^2
+    at its middle snapshot, with the geometer's Laplacian Delta_g R =
+    -(L R) / (base_vertex_area * e^u).  Returns the per-vertex residual
+    array; it vanishes to O(h^2) on exact flows.
+    """
+    s_prev, s_mid, s_next, h = central_window(window)
+    drdt = (s_next.R - s_prev.R) / (2.0 * h)
+    laplace_r = -(s_mid.mesh.stiffness @ s_mid.R) / s_mid.mass_diag
+    return drdt - (laplace_r + s_mid.R**2)
+
+
+def finite_difference_rate(window, members):
+    """Central-difference eigenvalue rate at the window's middle time.
 
     ``members`` is a branch index or a cluster of indices; clusters are
     differenced through their mean eigenvalue, which is invariant under
     the arbitrary eigenbasis rotations inside a degenerate eigenspace.
     """
-    s_prev, _, s_next, h = central_window(traj, t_index)
+    s_prev, _, s_next, h = central_window(window)
     members = np.atleast_1d(members).astype(int)
     if not len(members) or members.min() < 1:
         raise ValueError("rates are defined for branch indices >= 1")
@@ -89,7 +123,7 @@ def _procrustes_aligned_block(block, target, mdiag):
     return np.einsum("ip,pq->iq", block, u_svd @ vt_svd)
 
 
-def integrability_residuals(traj, t_index, eigen_index, allow_cluster=False):
+def integrability_residuals(window, mode, eigen_index, allow_cluster=False):
     """Residuals of the two eigenfunction normalization identities.
 
     The time derivative f' is the central difference of the tracked
@@ -106,7 +140,7 @@ def integrability_residuals(traj, t_index, eigen_index, allow_cluster=False):
     smooth-branch gauge for symmetry-forced degeneracies that persist
     along the whole run.
     """
-    s_prev, s_mid, s_next, h = central_window(traj, t_index)
+    s_prev, s_mid, s_next, h = central_window(window)
     if eigen_index < 1:
         raise ValueError("integrability applies to nonconstant modes")
 
@@ -138,7 +172,7 @@ def integrability_residuals(traj, t_index, eigen_index, allow_cluster=False):
                     - integrate(mdiag, f_mid * s_mid.R))
     f2r = integrate(mdiag, f_mid**2 * s_mid.R)
     ffdot = integrate(mdiag, f_mid * f_dot)
-    if traj.mode == "normalized":
+    if mode == "normalized":
         res_second = abs(2.0 * ffdot - f2r + s_mid.r_avg)
     else:
         res_second = abs(ffdot - 0.5 * f2r)
@@ -187,25 +221,26 @@ def _cluster_subspace_overlap(s_a, s_b, members):
     return float(np.linalg.svd(overlap, compute_uv=False).min())
 
 
-def variation_report(traj):
+def variation_report(snapshots, mode):
     """Compare finite-difference and closed-form rates at each interior time.
 
-    Produces one row per eigenvalue cluster per interior snapshot.
-    Cluster rows use the mean eigenvalue on both sides of the
-    comparison; integrability residuals are reported only for simple,
-    well-tracked branches (NaN otherwise).  Rows whose tracking overlap
-    dropped below the loss threshold at either neighbor are marked
-    ``tracking_ok=False``.
+    Produces one row per eigenvalue cluster per interior time of the
+    consecutive ``snapshots`` of a ``mode`` flow; a window that
+    ``central_window`` refuses is skipped.  Cluster rows use the mean
+    eigenvalue on both sides of the comparison; integrability residuals
+    are reported only for simple, well-tracked branches (NaN otherwise).
+    Rows whose tracking overlap dropped below the loss threshold at
+    either neighbor are marked ``tracking_ok=False``.
     """
-    if traj.mode == "normalized":
+    if mode == "normalized":
         rhs_fn = rhs_normalized_surface
     else:
         rhs_fn = rhs_unnormalized_surface
 
     rows = []
-    for t_index in range(1, len(traj.snapshots) - 1):
+    for window in zip(snapshots, snapshots[1:], snapshots[2:]):
         try:
-            s_prev, s_mid, s_next, _ = central_window(traj, t_index)
+            s_prev, s_mid, s_next, _ = central_window(window)
         except ValueError:
             continue
 
@@ -213,7 +248,7 @@ def variation_report(traj):
         for cluster in eigenvalue_clusters(values):
             members = tuple(cluster)
             is_cluster = len(members) > 1
-            fd = finite_difference_rate(traj, t_index, members)
+            fd = finite_difference_rate(window, members)
             rhs = float(np.mean([rhs_fn(s_mid, m) for m in members]))
             if is_cluster:
                 # Per-vector overlaps jitter inside a degenerate
@@ -231,7 +266,7 @@ def variation_report(traj):
                 )
             res1 = res2 = math.nan
             if not is_cluster and tracking_ok:
-                res1, res2 = integrability_residuals(traj, t_index, members[0])
+                res1, res2 = integrability_residuals(window, mode, members[0])
             rows.append(VariationRow(
                 t=s_mid.t,
                 index=members[0],

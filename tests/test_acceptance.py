@@ -16,9 +16,7 @@ from ricciflow.config import PerturbationSpec
 from ricciflow.flow import (
     ConformalState,
     FlowConfig,
-    SpectrumTrajectory,
     run,
-    scalar_curvature_evolution_residual,
 )
 from ricciflow.mesh import (
     assemble_mass,
@@ -42,6 +40,7 @@ from ricciflow.variation import (
     perelman_lambda,
     rate_bound_check,
     rhs_normalized_surface,
+    scalar_curvature_evolution_residual,
     variation_report,
 )
 
@@ -140,7 +139,7 @@ def run_conjecture(sphere4):
 
 
 def simple_rows(traj):
-    return [row for row in variation_report(traj)
+    return [row for row in variation_report(traj.snapshots, traj.mode)
             if not row.is_cluster and row.tracking_ok]
 
 
@@ -305,15 +304,14 @@ def test_criterion_08_model_space_exactness():
 def test_criterion_09_curvature_evolution_residual(run_round_sphere):
     traj = run_round_sphere
     mid = 16  # even index so the half-rate subsample shares this time
-    residual = scalar_curvature_evolution_residual(traj, mid)
+    residual = scalar_curvature_evolution_residual(
+        traj.snapshots[mid - 1:mid + 2])
     r_mid = scalar_curvature(traj.mesh, traj.snapshots[mid].u)
     scale = float(np.max(r_mid**2))
     fine = float(np.abs(residual).max())
 
-    coarse_traj = SpectrumTrajectory(mesh=traj.mesh, mode=traj.mode,
-                                     snapshots=traj.snapshots[::2])
-    coarse = float(np.abs(
-        scalar_curvature_evolution_residual(coarse_traj, mid // 2)).max())
+    coarse = float(np.abs(scalar_curvature_evolution_residual(
+        traj.snapshots[mid - 2:mid + 3:2])).max())
     print(f"Linf residual {fine:.3e} = {fine / scale:.2%} of max R^2; "
           f"doubling h scales it by {coarse / fine:.2f}")
     assert fine <= 0.05 * scale
@@ -327,7 +325,8 @@ def test_criterion_10_integrability_conditions(run_flat_torus,
     # cluster (indices 1..4 share one eigenvalue).
     torus_worst = 0.0
     for eigen_index in (1, 2, 3, 4):
-        res1, res2 = integrability_residuals(run_flat_torus, 2, eigen_index,
+        res1, res2 = integrability_residuals(run_flat_torus.snapshots[1:4],
+                                             run_flat_torus.mode, eigen_index,
                                              allow_cluster=True)
         torus_worst = max(torus_worst, res1, res2)
     print(f"torus worst residual {torus_worst:.3e}")
@@ -336,8 +335,9 @@ def test_criterion_10_integrability_conditions(run_flat_torus,
     # Round sphere at the discrete steady state, normalized mode.
     sphere_worst = 0.0
     for eigen_index in (1, 2, 3):
-        res1, res2 = integrability_residuals(run_steady_sphere, 1, eigen_index,
-                                             allow_cluster=True)
+        res1, res2 = integrability_residuals(run_steady_sphere.snapshots[:3],
+                                             run_steady_sphere.mode,
+                                             eigen_index, allow_cluster=True)
         sphere_worst = max(sphere_worst, res1, res2)
     print(f"steady sphere worst residual {sphere_worst:.3e}")
     assert sphere_worst <= 1e-8
@@ -349,9 +349,11 @@ def test_criterion_10_integrability_conditions(run_flat_torus,
     r2_ratios = []
     r1_decays_checked = 0
     for eigen_index in range(1, 7):
-        r1_h, r2_h = integrability_residuals(run_bumpy, 10, eigen_index)
-        r1_h2, r2_h2 = integrability_residuals(run_bumpy_half_h, 20,
-                                               eigen_index)
+        r1_h, r2_h = integrability_residuals(run_bumpy.snapshots[9:12],
+                                             run_bumpy.mode, eigen_index)
+        r1_h2, r2_h2 = integrability_residuals(
+            run_bumpy_half_h.snapshots[19:22], run_bumpy_half_h.mode,
+            eigen_index)
         r2_ratios.append(r2_h / r2_h2)
         if r1_h > 1e-12:
             assert 2.5 <= r1_h / r1_h2 <= 6.0

@@ -225,8 +225,8 @@ def test_report_window_holds_three_eigenvector_blocks(tmp_path, monkeypatch):
         trajs.append(real_run(initial, cfg, on_record=watching))
         return trajs[-1]
 
-    def counting_report(traj):
-        rows = real_report(traj)
+    def counting_report(snapshots, mode):
+        rows = real_report(snapshots, mode)
         reported.append(len(rows))
         return rows
 
@@ -248,7 +248,7 @@ def test_report_window_holds_three_eigenvector_blocks(tmp_path, monkeypatch):
     traj = real_run(ConformalState(
         mesh, initial_log_factor(mesh, config.perturbation)), config.flow)
     assert all(s.eigenvectors is not None for s in traj.snapshots)
-    assert sum(reported) == len(real_report(traj)) == 30
+    assert sum(reported) == len(real_report(traj.snapshots, traj.mode)) == 30
     _, rows_v = read_csv(tmp_path / "run" / "variation.csv")
     assert len(rows_v) == 30
 

@@ -222,6 +222,19 @@ def test_negative_amplitude():
     assert err.line == 4
 
 
+def test_negative_seed_names_key_and_line(tmp_path, capsys):
+    text = MINIMAL + "[perturbation]\nseed = -3\n"
+    err = error_from(text)
+    assert "seed must be nonnegative" in str(err)
+    assert err.line == 4
+    path = tmp_path / "negative_seed.cfg"
+    path.write_text(text)
+    assert main(["flow", "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == 3
+    assert "line 4: seed must be nonnegative" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_bad_perturbation_mode():
     err = error_from(MINIMAL + "[perturbation]\nmode = 4\n")
     assert "perturbation mode" in str(err)

@@ -13,11 +13,9 @@ from ricciflow.flow import (
     FlowBlowUpError,
     FlowConfig,
     SpectrumSnapshot,
-    SpectrumTrajectory,
     _record,
     _unpinned_copy,
     run,
-    scalar_curvature_evolution_residual,
     step,
 )
 from ricciflow.mesh import (
@@ -27,6 +25,7 @@ from ricciflow.mesh import (
     scalar_curvature,
     total_area,
 )
+from ricciflow.variation import scalar_curvature_evolution_residual
 
 
 def sphere_bump(mesh, amplitude=0.1):
@@ -34,14 +33,11 @@ def sphere_bump(mesh, amplitude=0.1):
     return amplitude * np.cos(3.0 * mesh.vertices[:, 2])
 
 
-def fake_trajectory(mesh, times):
-    traj = SpectrumTrajectory(mesh=mesh, mode="unnormalized")
-    for t in times:
-        traj.snapshots.append(SpectrumSnapshot(
-            mesh=mesh, u=np.zeros(mesh.n_vertices), t=t,
-            eigenvalues=np.zeros(0),
-            eigenvectors=np.zeros((mesh.n_vertices, 0))))
-    return traj
+def fake_snapshots(mesh, times):
+    return [SpectrumSnapshot(mesh=mesh, u=np.zeros(mesh.n_vertices), t=t,
+                             eigenvalues=np.zeros(0),
+                             eigenvectors=np.zeros((mesh.n_vertices, 0)))
+            for t in times]
 
 
 # ---------------------------------------------------------------------------
@@ -200,10 +196,10 @@ def test_states_and_snapshots_compare_by_identity():
     a, b = (ConformalState(mesh, np.zeros(mesh.n_vertices)) for _ in range(2))
     assert a == a and a != b
     assert len({a, b}) == 2
-    traj = fake_trajectory(mesh, [0.0, 0.1, 0.2])
-    later = traj.snapshots[2]
-    assert later in traj.snapshots
-    assert traj.snapshots.index(later) == 2
+    snapshots = fake_snapshots(mesh, [0.0, 0.1, 0.2])
+    later = snapshots[2]
+    assert later in snapshots
+    assert snapshots.index(later) == 2
     assert dataclasses.replace(later) != later
 
 
@@ -358,6 +354,17 @@ def test_converged_round_stop():
     assert last.t < 0.5  # converges long before t_end
 
 
+def test_converged_round_stop_applies_to_unnormalized_runs():
+    # The unit icosphere 2 starts with a curvature spread below 10.
+    mesh = build_icosphere(2, 1.0)
+    cfg = FlowConfig(mode="unnormalized", dt_init=1e-3, t_end=0.1,
+                     record_every=10, spectrum_k=1, stop_when_round=10.0)
+    traj = run(ConformalState(mesh, np.zeros(mesh.n_vertices)), cfg)
+    assert traj.stopping_reason == "converged_round"
+    assert len(traj.snapshots) == 1
+    assert traj.snapshots[0].t == 0.0
+
+
 def test_unstable_run_returns_partial_trajectory():
     # A step size far beyond the RK4 stability limit destroys the state;
     # the driver must hand back what it recorded instead of raising.
@@ -428,29 +435,29 @@ def test_evolution_law_residual_small_and_second_order():
     assert len(traj.snapshots) == 9
 
     mid = 4
-    residual = scalar_curvature_evolution_residual(traj, mid)
+    residual = scalar_curvature_evolution_residual(
+        traj.snapshots[mid - 1:mid + 2])
     r_mid = scalar_curvature(mesh, traj.snapshots[mid].u)
     scale = float(np.max(r_mid**2))
     fine = float(np.abs(residual).max())
     assert fine < 0.05 * scale
 
-    coarse_traj = SpectrumTrajectory(mesh=mesh, mode=traj.mode,
-                                     snapshots=traj.snapshots[::2])
-    coarse = float(np.abs(
-        scalar_curvature_evolution_residual(coarse_traj, mid // 2)).max())
+    coarse = float(np.abs(scalar_curvature_evolution_residual(
+        traj.snapshots[mid - 2:mid + 3:2])).max())
     assert 2.5 < coarse / fine < 6.0  # doubling h scales the error ~4x
 
 
 def test_residual_rejects_boundary_and_nonuniform_times():
     mesh = build_flat_torus(4, 4, 1.0, 1.0)
-    traj = fake_trajectory(mesh, [0.0, 0.01, 0.02])
-    with pytest.raises(ValueError, match="interior"):
-        scalar_curvature_evolution_residual(traj, 0)
-    with pytest.raises(ValueError, match="interior"):
-        scalar_curvature_evolution_residual(traj, 2)
-    skewed = fake_trajectory(mesh, [0.0, 0.01, 0.03])
+    snapshots = fake_snapshots(mesh, [0.0, 0.01, 0.02, 0.03])
+    # A window at either end of a run lacks a neighbor.
+    with pytest.raises(ValueError, match="2 snapshots, not three"):
+        scalar_curvature_evolution_residual(snapshots[:2])
+    with pytest.raises(ValueError, match="4 snapshots, not three"):
+        scalar_curvature_evolution_residual(snapshots)
+    skewed = fake_snapshots(mesh, [0.0, 0.01, 0.03])
     with pytest.raises(ValueError, match="uniform"):
-        scalar_curvature_evolution_residual(skewed, 1)
-    reversed_t = fake_trajectory(mesh, [0.0, 0.02, 0.01])
+        scalar_curvature_evolution_residual(skewed)
+    reversed_t = fake_snapshots(mesh, [0.0, 0.02, 0.01])
     with pytest.raises(ValueError, match="increasing"):
-        scalar_curvature_evolution_residual(reversed_t, 1)
+        scalar_curvature_evolution_residual(reversed_t)

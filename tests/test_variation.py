@@ -1,3 +1,4 @@
+import ast
 import copy
 import dataclasses
 import math
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_equal
 
-from ricciflow import flow
+from ricciflow import flow, variation
 from ricciflow.cli import initial_log_factor, report_window
 from ricciflow.config import PerturbationSpec
 from ricciflow.flow import (
@@ -155,38 +156,37 @@ def test_rate_inputs_are_validated(sphere_snapshot):
 # finite differences
 
 
-def fake_lambda_trajectory(times, lam_rows):
+def fake_lambda_snapshots(times, lam_rows):
     mesh = build_flat_torus(3, 3, 1.0, 1.0)
-    traj = SpectrumTrajectory(mesh=mesh, mode="unnormalized")
-    for t, lams in zip(times, lam_rows):
-        traj.snapshots.append(SpectrumSnapshot(
-            mesh=mesh, u=np.zeros(mesh.n_vertices), t=t,
-            eigenvalues=np.array(lams, dtype=float), eigenvectors=None))
-    return traj
+    return [SpectrumSnapshot(mesh=mesh, u=np.zeros(mesh.n_vertices), t=t,
+                             eigenvalues=np.array(lams, dtype=float),
+                             eigenvectors=None)
+            for t, lams in zip(times, lam_rows)]
 
 
 def test_finite_difference_rate_exact_on_linear_branches():
     times = [0.0, 0.1, 0.2]
     lam_rows = [[0.0, 2.0 + 3.0 * t, 5.0 - 1.0 * t, 7.0 + 2.0 * t]
                 for t in times]
-    traj = fake_lambda_trajectory(times, lam_rows)
-    assert_allclose(finite_difference_rate(traj, 1, 1), 3.0, atol=1e-12)
-    assert_allclose(finite_difference_rate(traj, 1, (2,)), -1.0, atol=1e-12)
+    window = fake_lambda_snapshots(times, lam_rows)
+    assert_allclose(finite_difference_rate(window, 1), 3.0, atol=1e-12)
+    assert_allclose(finite_difference_rate(window, (2,)), -1.0, atol=1e-12)
     # cluster rate = derivative of the member mean
-    assert_allclose(finite_difference_rate(traj, 1, (2, 3)), 0.5, atol=1e-12)
+    assert_allclose(finite_difference_rate(window, (2, 3)), 0.5, atol=1e-12)
 
 
 def test_finite_difference_rate_validation():
-    times = [0.0, 0.1, 0.2]
-    traj = fake_lambda_trajectory(times, [[0.0, 1.0]] * 3)
-    with pytest.raises(ValueError, match="interior"):
-        finite_difference_rate(traj, 0, 1)
-    with pytest.raises(ValueError, match="interior"):
-        finite_difference_rate(traj, 2, 1)
+    times = [0.0, 0.1, 0.2, 0.3]
+    snapshots = fake_lambda_snapshots(times, [[0.0, 1.0]] * 4)
+    # A window at either end of a run lacks a neighbor.
+    with pytest.raises(ValueError, match="2 snapshots, not three"):
+        finite_difference_rate(snapshots[:2], 1)
+    with pytest.raises(ValueError, match="4 snapshots, not three"):
+        finite_difference_rate(snapshots, 1)
     with pytest.raises(ValueError, match=">= 1"):
-        finite_difference_rate(traj, 1, 0)
+        finite_difference_rate(snapshots[:3], 0)
     with pytest.raises(ValueError, match=">= 1"):
-        finite_difference_rate(traj, 1, ())
+        finite_difference_rate(snapshots[:3], ())
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +198,8 @@ def test_steady_torus_integrability_residuals(steady_torus_traj):
     # degenerate eigenbasis is gauge-aligned.
     for eigen_index in (1, 2, 3, 4):
         res1, res2 = integrability_residuals(
-            steady_torus_traj, 2, eigen_index, allow_cluster=True)
+            steady_torus_traj.snapshots[1:4], steady_torus_traj.mode,
+            eigen_index, allow_cluster=True)
         assert res1 < 1e-10
         assert res2 < 1e-10
 
@@ -206,23 +207,29 @@ def test_steady_torus_integrability_residuals(steady_torus_traj):
 def test_cluster_residuals_refused_without_opt_in(steady_torus_traj,
                                                   round_sphere_traj):
     with pytest.raises(ClusterGaugeError, match="cluster"):
-        integrability_residuals(steady_torus_traj, 2, 1)
+        integrability_residuals(steady_torus_traj.snapshots[1:4],
+                                steady_torus_traj.mode, 1)
     with pytest.raises(ClusterGaugeError, match="cluster"):
-        integrability_residuals(round_sphere_traj, 3, 1)
+        integrability_residuals(round_sphere_traj.snapshots[2:5],
+                                round_sphere_traj.mode, 1)
 
 
 def test_shrinking_sphere_cluster_residuals(round_sphere_traj):
-    res1, res2 = integrability_residuals(round_sphere_traj, 3, 1,
+    res1, res2 = integrability_residuals(round_sphere_traj.snapshots[2:5],
+                                         round_sphere_traj.mode, 1,
                                          allow_cluster=True)
     assert res1 < 1e-10   # int f' dmu stays zero to roundoff
     assert res2 < 1e-4    # finite-difference truncation at h = 1e-3
 
 
 def test_integrability_input_validation(round_sphere_traj):
-    with pytest.raises(ValueError, match="interior"):
-        integrability_residuals(round_sphere_traj, 0, 1)
+    snapshots, mode = round_sphere_traj.snapshots, round_sphere_traj.mode
+    with pytest.raises(ValueError, match="2 snapshots, not three"):
+        integrability_residuals(snapshots[:2], mode, 1)
+    with pytest.raises(ValueError, match="4 snapshots, not three"):
+        integrability_residuals(snapshots[:4], mode, 1)
     with pytest.raises(ValueError, match="nonconstant"):
-        integrability_residuals(round_sphere_traj, 3, 0)
+        integrability_residuals(snapshots[2:5], mode, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +269,8 @@ def test_rate_bound_check_rejects_violations():
 
 
 def test_report_on_bumpy_sphere_matches_rates(bumpy_sphere_traj):
-    rows = variation_report(bumpy_sphere_traj)
+    rows = variation_report(bumpy_sphere_traj.snapshots,
+                            bumpy_sphere_traj.mode)
     assert len(rows) == 30  # 5 interior times x 6 fully split branches
     assert all(not row.is_cluster for row in rows)
     assert all(row.tracking_ok for row in rows)
@@ -273,7 +281,8 @@ def test_report_on_bumpy_sphere_matches_rates(bumpy_sphere_traj):
 
 
 def test_report_on_round_sphere_clusters(round_sphere_traj):
-    rows = variation_report(round_sphere_traj)
+    rows = variation_report(round_sphere_traj.snapshots,
+                            round_sphere_traj.mode)
     assert len(rows) == 10  # 5 interior times x 2 complete shells
     assert {row.members for row in rows} == {(1, 2, 3), (4, 5, 6, 7, 8)}
     for row in rows:
@@ -285,10 +294,8 @@ def test_report_on_round_sphere_clusters(round_sphere_traj):
 
 
 def test_report_skips_nonuniform_spacing(round_sphere_traj):
-    snaps = [round_sphere_traj.snapshots[i] for i in (0, 2, 3)]
-    skewed = SpectrumTrajectory(mesh=round_sphere_traj.mesh,
-                                mode=round_sphere_traj.mode, snapshots=snaps)
-    assert variation_report(skewed) == []
+    skewed = [round_sphere_traj.snapshots[i] for i in (0, 2, 3)]
+    assert variation_report(skewed, round_sphere_traj.mode) == []
 
 
 def window_fed_report(traj):
@@ -313,7 +320,7 @@ def test_window_fed_rows_equal_whole_report(fixture, n_snapshots, n_rows,
                                             request):
     traj = request.getfixturevalue(fixture)
     assert len(traj.snapshots) == n_snapshots
-    whole = variation_report(traj)
+    whole = variation_report(traj.snapshots, traj.mode)
     assert len(whole) == n_rows
     # Field for field, NaN equal to NaN.
     assert_equal([dataclasses.asdict(row) for row in window_fed_report(traj)],
@@ -324,3 +331,24 @@ def test_relative_error_floor():
     assert relative_error(0.0, 0.0) == 0.0
     assert_allclose(relative_error(1e-15, 0.0), 1e-3)
     assert_allclose(relative_error(3.0, 2.0), 1.0 / 3.0)
+
+
+def test_variation_owns_the_central_window():
+    # Central differencing is a variation concern: the flow driver
+    # neither defines the window nor is imported by the checks.
+    def tree(module):
+        with open(module.__file__, encoding="utf-8") as handle:
+            return ast.parse(handle.read())
+
+    imported = set()
+    for node in ast.walk(tree(variation)):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.update(f"{node.module or ''}.{alias.name}"
+                            for alias in node.names)
+    assert not any("flow" in name.split(".") for name in imported)
+    defined = {node.name for node in ast.walk(tree(flow))
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert "central_window" not in defined
+    assert "scalar_curvature_evolution_residual" not in defined
