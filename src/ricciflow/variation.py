@@ -37,9 +37,18 @@ class ClusterGaugeError(ValueError):
     """Eigenfunction derivative undefined inside a degenerate cluster."""
 
 
-def rhs_unnormalized_surface(snapshot, index):
-    """Surface rate lambda * int f^2 R dmu of branch ``index``
-    (unnormalized flow)."""
+def _check_mode(mode):
+    """Refuse a flow mode other than "unnormalized" or "normalized"."""
+    if mode not in ("unnormalized", "normalized"):
+        raise ValueError(f"flow mode must be 'unnormalized' or 'normalized', "
+                         f"not {mode!r}")
+
+
+def surface_rate(snapshot, index, mode):
+    """Surface rate of branch ``index`` along the ``mode`` flow:
+    lambda * int f^2 R dmu, less r * lambda on the normalized flow."""
+    _check_mode(mode)
+    r_avg = snapshot.r_avg if mode == "normalized" else 0.0
     if index < 1:
         raise ValueError("variation formulas apply to nonconstant modes "
                          "(index >= 1)")
@@ -48,14 +57,8 @@ def rhs_unnormalized_surface(snapshot, index):
     if abs(norm - 1.0) > NORMALIZATION_SLACK:
         raise ValueError(f"eigenfunction M-norm is {norm:.9f}, off unit by "
                          f"more than {NORMALIZATION_SLACK:.0e}")
-    return (snapshot.eigenvalues[index]
-            * integrate(snapshot.mass_diag, f**2 * snapshot.R))
-
-
-def rhs_normalized_surface(snapshot, index):
-    """Surface rate -r*lambda + lambda * int f^2 R dmu of branch ``index``."""
-    return (rhs_unnormalized_surface(snapshot, index)
-            - snapshot.r_avg * snapshot.eigenvalues[index])
+    lam = snapshot.eigenvalues[index]
+    return lam * integrate(snapshot.mass_diag, f**2 * snapshot.R) - r_avg * lam
 
 
 def central_window(window):
@@ -79,18 +82,21 @@ def central_window(window):
     return s_prev, s_mid, s_next, 0.5 * (h1 + h2)
 
 
-def scalar_curvature_evolution_residual(window):
-    """Residual of the curvature evolution law dR/dt = Delta R + R^2.
+def scalar_curvature_evolution_residual(window, mode):
+    """Residual of the curvature evolution law of the ``mode`` flow,
+    dR/dt = Delta R + R^2, less r R on the normalized flow.
 
-    Central-differences R across the window and subtracts Delta R + R^2
-    at its middle snapshot, with the geometer's Laplacian Delta_g R =
-    -(L R) / (base_vertex_area * e^u).  Returns the per-vertex residual
+    Central-differences R across the window and subtracts the right-hand
+    side at its middle snapshot, with the geometer's Laplacian Delta_g R
+    = -(L R) / (base_vertex_area * e^u).  Returns the per-vertex residual
     array; it vanishes to O(h^2) on exact flows.
     """
+    _check_mode(mode)
     s_prev, s_mid, s_next, h = central_window(window)
+    r_avg = s_mid.r_avg if mode == "normalized" else 0.0
     drdt = (s_next.R - s_prev.R) / (2.0 * h)
     laplace_r = -(s_mid.mesh.stiffness @ s_mid.R) / s_mid.mass_diag
-    return drdt - (laplace_r + s_mid.R**2)
+    return drdt - (laplace_r + s_mid.R**2 - r_avg * s_mid.R)
 
 
 def finite_difference_rate(window, members):
@@ -110,24 +116,55 @@ def finite_difference_rate(window, members):
     return float((lam_next - lam_prev) / (2.0 * h))
 
 
-def _procrustes_aligned_block(block, target, mdiag):
-    """Rotate ``block`` onto ``target`` under the diagonal mass inner product.
+def _aligned_derivative(window, h, members):
+    """Gauge-fixed central difference of an eigenvalue group's block.
 
     Eigenvectors inside a (near-)degenerate cluster are defined only up
     to an orthogonal mixing, and the solver's choice jitters from one
-    snapshot to the next.  The minimal-rotation (orthogonal Procrustes)
-    alignment removes that arbitrariness; the diagonal identities
-    checked downstream are invariant under the residual gauge freedom.
+    snapshot to the next.  Each neighbor block is rotated onto the
+    middle one by the minimal-rotation (orthogonal Procrustes)
+    alignment, which removes that arbitrariness; the diagonal identities
+    checked downstream are invariant under the gauge freedom left, and
+    on a tracked simple branch the rotation is exactly 1.  Returns the
+    differenced block and the smallest principal-angle cosine between
+    the group's eigenspaces at either neighbor.  Each overlap is taken
+    under the later snapshot's mass, as ``track`` takes it, so for one
+    branch the cosine is the |<f_prev, M f>| that ``track`` records.
     """
-    u_svd, _, vt_svd = np.linalg.svd(mass_gram(block, target, mdiag))
-    return np.einsum("ip,pq->iq", block, u_svd @ vt_svd)
+    s_prev, s_mid, s_next = window
+    columns = list(members)
+    target = s_mid.eigenvectors[:, columns]
+    prev, after = (snap.eigenvectors[:, columns] for snap in (s_prev, s_next))
+    u_svd, cos, vt_svd = np.linalg.svd(np.stack([
+        mass_gram(prev, target, s_mid.mass_diag),
+        mass_gram(after, target, s_next.mass_diag)]))
+    rotations = u_svd @ vt_svd
+    f_dot = (np.einsum("ip,pq->iq", after, rotations[1])
+             - np.einsum("ip,pq->iq", prev, rotations[0])) / (2.0 * h)
+    return f_dot, float(cos.min())
+
+
+def _normalization_residuals(s_mid, index, f_dot, mode):
+    """The two residuals of ``integrability_residuals`` for branch
+    ``index`` with time derivative ``f_dot``."""
+    f_mid = s_mid.eigenvectors[:, index]
+    mdiag = s_mid.mass_diag
+    res_first = abs(integrate(mdiag, f_dot)
+                    - integrate(mdiag, f_mid * s_mid.R))
+    f2r = integrate(mdiag, f_mid**2 * s_mid.R)
+    ffdot = integrate(mdiag, f_mid * f_dot)
+    if mode == "normalized":
+        return res_first, abs(2.0 * ffdot - f2r + s_mid.r_avg)
+    return res_first, abs(ffdot - 0.5 * f2r)
 
 
 def integrability_residuals(window, mode, eigen_index, allow_cluster=False):
     """Residuals of the two eigenfunction normalization identities.
 
-    The time derivative f' is the central difference of the tracked
-    (sign-aligned) eigenfunctions.  With dmu the middle measure:
+    The time derivative f' is the central difference of the eigenvector
+    block of the index's eigenvalue group (a simple branch is a group of
+    one) in the Procrustes gauge of ``_aligned_derivative``.  With dmu
+    the middle measure:
 
     * first residual:  | int f' dmu - int f R dmu |
     * second residual (unnormalized): | int f' f dmu - 1/2 int f^2 R dmu |
@@ -135,48 +172,25 @@ def integrability_residuals(window, mode, eigen_index, allow_cluster=False):
 
     Inside a near-degenerate cluster the branch derivative has no
     intrinsic meaning, so the check is refused unless ``allow_cluster``
-    is set; the neighbor eigenbases are then rotated onto the middle
-    one (Procrustes gauge) before differencing, which is the legitimate
-    smooth-branch gauge for symmetry-forced degeneracies that persist
-    along the whole run.
+    is set: the Procrustes gauge is then the legitimate smooth-branch
+    gauge of a symmetry-forced degeneracy that persists along the whole
+    run.
     """
-    s_prev, s_mid, s_next, h = central_window(window)
+    _check_mode(mode)
+    _, s_mid, _, h = central_window(window)
     if eigen_index < 1:
         raise ValueError("integrability applies to nonconstant modes")
 
-    members = (eigen_index,)
-    for cluster in eigenvalue_clusters(s_mid.eigenvalues):
-        if eigen_index in cluster and len(cluster) > 1:
-            if not allow_cluster:
-                raise ClusterGaugeError(
-                    f"index {eigen_index} sits in the degenerate cluster "
-                    f"{cluster}; the branch derivative is gauge-ambiguous"
-                )
-            members = tuple(cluster)
-
-    f_mid = s_mid.eigenvectors[:, eigen_index]
-    if len(members) > 1:
-        columns = list(members)
-        target = s_mid.eigenvectors[:, columns]
-        sides = [_procrustes_aligned_block(snap.eigenvectors[:, columns],
-                                           target, s_mid.mass_diag)
-                 for snap in (s_prev, s_next)]
-        col = members.index(eigen_index)
-        f_dot = (sides[1][:, col] - sides[0][:, col]) / (2.0 * h)
-    else:
-        f_dot = (s_next.eigenvectors[:, eigen_index]
-                 - s_prev.eigenvectors[:, eigen_index]) / (2.0 * h)
-
-    mdiag = s_mid.mass_diag
-    res_first = abs(integrate(mdiag, f_dot)
-                    - integrate(mdiag, f_mid * s_mid.R))
-    f2r = integrate(mdiag, f_mid**2 * s_mid.R)
-    ffdot = integrate(mdiag, f_mid * f_dot)
-    if mode == "normalized":
-        res_second = abs(2.0 * ffdot - f2r + s_mid.r_avg)
-    else:
-        res_second = abs(ffdot - 0.5 * f2r)
-    return res_first, res_second
+    members = next((cluster for cluster in eigenvalue_clusters(
+        s_mid.eigenvalues) if eigen_index in cluster), [eigen_index])
+    if len(members) > 1 and not allow_cluster:
+        raise ClusterGaugeError(
+            f"index {eigen_index} sits in the degenerate cluster "
+            f"{members}; the branch derivative is gauge-ambiguous"
+        )
+    f_dot, _ = _aligned_derivative(window, h, members)
+    return _normalization_residuals(
+        s_mid, eigen_index, f_dot[:, members.index(eigen_index)], mode)
 
 
 def rate_bound_check(fd_rate, lam, dim, tol=1e-9):
@@ -213,34 +227,23 @@ def relative_error(fd_rate, rhs_rate):
                                          _REL_ERROR_FLOOR)
 
 
-def _cluster_subspace_overlap(s_a, s_b, members):
-    """Smallest principal-angle cosine between two cluster eigenspaces."""
-    columns = list(members)
-    overlap = mass_gram(s_a.eigenvectors[:, columns],
-                        s_b.eigenvectors[:, columns], s_b.mass_diag)
-    return float(np.linalg.svd(overlap, compute_uv=False).min())
-
-
 def variation_report(snapshots, mode):
     """Compare finite-difference and closed-form rates at each interior time.
 
-    Produces one row per eigenvalue cluster per interior time of the
-    consecutive ``snapshots`` of a ``mode`` flow; a window that
-    ``central_window`` refuses is skipped.  Cluster rows use the mean
-    eigenvalue on both sides of the comparison; integrability residuals
-    are reported only for simple, well-tracked branches (NaN otherwise).
-    Rows whose tracking overlap dropped below the loss threshold at
-    either neighbor are marked ``tracking_ok=False``.
+    Produces one row per eigenvalue group (a cluster, or a simple branch
+    as a group of one) per interior time of the consecutive
+    ``snapshots`` of a ``mode`` flow; a window that ``central_window``
+    refuses is skipped.  Rows compare the group's mean eigenvalue, and
+    those whose eigenspace overlap dropped below the loss threshold at
+    either neighbor are marked ``tracking_ok=False``.  Integrability
+    residuals are reported only for simple, well-tracked branches (NaN
+    otherwise).
     """
-    if mode == "normalized":
-        rhs_fn = rhs_normalized_surface
-    else:
-        rhs_fn = rhs_unnormalized_surface
-
+    _check_mode(mode)
     rows = []
     for window in zip(snapshots, snapshots[1:], snapshots[2:]):
         try:
-            s_prev, s_mid, s_next, _ = central_window(window)
+            _, s_mid, _, h = central_window(window)
         except ValueError:
             continue
 
@@ -249,24 +252,16 @@ def variation_report(snapshots, mode):
             members = tuple(cluster)
             is_cluster = len(members) > 1
             fd = finite_difference_rate(window, members)
-            rhs = float(np.mean([rhs_fn(s_mid, m) for m in members]))
-            if is_cluster:
-                # Per-vector overlaps jitter inside a degenerate
-                # eigenspace; what tracking preserves is the span.
-                tracking_ok = all(
-                    _cluster_subspace_overlap(earlier, later, members)
-                    >= TRACKING_OVERLAP_FLOOR
-                    for earlier, later in ((s_prev, s_mid), (s_mid, s_next))
-                )
-            else:
-                tracking_ok = all(
-                    snap.overlaps is None
-                    or snap.overlaps[members[0]] >= TRACKING_OVERLAP_FLOOR
-                    for snap in (s_mid, s_next)
-                )
+            rhs = float(np.mean([surface_rate(s_mid, m, mode)
+                                 for m in members]))
+            # Per-vector overlaps jitter inside a degenerate eigenspace;
+            # what tracking preserves is the span.
+            f_dot, cosine = _aligned_derivative(window, h, members)
+            tracking_ok = cosine >= TRACKING_OVERLAP_FLOOR
             res1 = res2 = math.nan
             if not is_cluster and tracking_ok:
-                res1, res2 = integrability_residuals(window, mode, members[0])
+                res1, res2 = _normalization_residuals(s_mid, members[0],
+                                                      f_dot[:, 0], mode)
             rows.append(VariationRow(
                 t=s_mid.t,
                 index=members[0],

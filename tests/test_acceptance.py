@@ -39,8 +39,8 @@ from ricciflow.variation import (
     integrability_residuals,
     perelman_lambda,
     rate_bound_check,
-    rhs_normalized_surface,
     scalar_curvature_evolution_residual,
+    surface_rate,
     variation_report,
 )
 
@@ -209,7 +209,7 @@ def test_criterion_04_normalized_formula_at_unit_area(run_normalized_unit_area):
             f2r = integrate(mass_diag, snap.eigenvectors[:, index]**2
                             * curvature)
             explicit = lam * f2r - 8.0 * math.pi * lam
-            gaps.append(abs(rhs_normalized_surface(snap, index) - explicit))
+            gaps.append(abs(surface_rate(snap, index, traj.mode) - explicit))
     med = median_rel_error(traj)
     print(f"identity gap max {max(gaps):.3e}, fd/rhs median rel err {med:.3e}")
     assert max(gaps) <= 1e-6
@@ -305,13 +305,13 @@ def test_criterion_09_curvature_evolution_residual(run_round_sphere):
     traj = run_round_sphere
     mid = 16  # even index so the half-rate subsample shares this time
     residual = scalar_curvature_evolution_residual(
-        traj.snapshots[mid - 1:mid + 2])
+        traj.snapshots[mid - 1:mid + 2], traj.mode)
     r_mid = scalar_curvature(traj.mesh, traj.snapshots[mid].u)
     scale = float(np.max(r_mid**2))
     fine = float(np.abs(residual).max())
 
     coarse = float(np.abs(scalar_curvature_evolution_residual(
-        traj.snapshots[mid - 2:mid + 3:2])).max())
+        traj.snapshots[mid - 2:mid + 3:2], traj.mode)).max())
     print(f"Linf residual {fine:.3e} = {fine / scale:.2%} of max R^2; "
           f"doubling h scales it by {coarse / fine:.2f}")
     assert fine <= 0.05 * scale

@@ -436,15 +436,41 @@ def test_evolution_law_residual_small_and_second_order():
 
     mid = 4
     residual = scalar_curvature_evolution_residual(
-        traj.snapshots[mid - 1:mid + 2])
+        traj.snapshots[mid - 1:mid + 2], traj.mode)
     r_mid = scalar_curvature(mesh, traj.snapshots[mid].u)
     scale = float(np.max(r_mid**2))
     fine = float(np.abs(residual).max())
     assert fine < 0.05 * scale
 
     coarse = float(np.abs(scalar_curvature_evolution_residual(
-        traj.snapshots[mid - 2:mid + 3:2])).max())
+        traj.snapshots[mid - 2:mid + 3:2], traj.mode)).max())
     assert 2.5 < coarse / fine < 6.0  # doubling h scales the error ~4x
+
+
+def test_normalized_evolution_law_residual_is_second_order():
+    # The normalized flow's law is dR/dt = Delta R + R^2 - r R.  Checked
+    # against the unnormalized law instead, the residual is the missing
+    # r R, about max R^2, and does not shrink with the spacing.
+    mesh = build_icosphere(3, 1.0)
+    u0 = 0.01 * mesh.vertices[:, 0] * mesh.vertices[:, 1]
+    cfg = FlowConfig(mode="normalized", dt_init=2e-4, t_end=0.01,
+                     record_every=5, spectrum_k=1)
+    traj = run(ConformalState(mesh, u0), cfg)
+    assert len(traj.snapshots) == 11
+
+    def worst(window, mode):
+        return float(np.abs(
+            scalar_curvature_evolution_residual(window, mode)).max())
+
+    mid = 5
+    fine = traj.snapshots[mid - 1:mid + 2]
+    coarse = traj.snapshots[mid - 2:mid + 3:2]
+    scale = float(np.max(traj.snapshots[mid].R**2))
+    assert worst(fine, "normalized") < 0.1 * scale
+    # doubling h scales the error ~4x
+    assert 2.5 < worst(coarse, "normalized") / worst(fine, "normalized") < 6.0
+    assert worst(fine, "unnormalized") > 0.5 * scale
+    assert worst(coarse, "unnormalized") / worst(fine, "unnormalized") < 1.5
 
 
 def test_residual_rejects_boundary_and_nonuniform_times():
@@ -452,12 +478,12 @@ def test_residual_rejects_boundary_and_nonuniform_times():
     snapshots = fake_snapshots(mesh, [0.0, 0.01, 0.02, 0.03])
     # A window at either end of a run lacks a neighbor.
     with pytest.raises(ValueError, match="2 snapshots, not three"):
-        scalar_curvature_evolution_residual(snapshots[:2])
+        scalar_curvature_evolution_residual(snapshots[:2], "unnormalized")
     with pytest.raises(ValueError, match="4 snapshots, not three"):
-        scalar_curvature_evolution_residual(snapshots)
+        scalar_curvature_evolution_residual(snapshots, "unnormalized")
     skewed = fake_snapshots(mesh, [0.0, 0.01, 0.03])
     with pytest.raises(ValueError, match="uniform"):
-        scalar_curvature_evolution_residual(skewed)
+        scalar_curvature_evolution_residual(skewed, "unnormalized")
     reversed_t = fake_snapshots(mesh, [0.0, 0.02, 0.01])
     with pytest.raises(ValueError, match="increasing"):
-        scalar_curvature_evolution_residual(reversed_t)
+        scalar_curvature_evolution_residual(reversed_t, "unnormalized")

@@ -24,16 +24,21 @@ from ricciflow.mesh import (
     scalar_curvature,
 )
 from ricciflow.modelspaces import homogeneous_rate, round_sphere
-from ricciflow.spectral import EigenSolverError, solve_spectrum
+from ricciflow.spectral import (
+    TRACKING_OVERLAP_FLOOR,
+    EigenSolverError,
+    solve_spectrum,
+)
 from ricciflow.variation import (
     ClusterGaugeError,
+    _aligned_derivative,
     finite_difference_rate,
     integrability_residuals,
     perelman_lambda,
     rate_bound_check,
     relative_error,
-    rhs_normalized_surface,
-    rhs_unnormalized_surface,
+    scalar_curvature_evolution_residual,
+    surface_rate,
     variation_report,
 )
 
@@ -123,7 +128,7 @@ def test_round_sphere_rate_is_twice_lambda1(sphere_snapshot):
     curvature = scalar_curvature(mesh, snap.u)
     f2r = integrate(snap.mass_diag, snap.eigenvectors[:, 1]**2 * curvature)
     assert abs(f2r - 2.0) < 0.04
-    assert abs(rhs_unnormalized_surface(snap, 1) - 4.0) < 0.08
+    assert abs(surface_rate(snap, 1, "unnormalized") - 4.0) < 0.08
 
 
 def test_round_sphere_normalized_rate_vanishes(sphere_snapshot):
@@ -131,25 +136,47 @@ def test_round_sphere_normalized_rate_vanishes(sphere_snapshot):
     # branch is stationary: -r*lambda cancels the surface integral.
     snap = sphere_snapshot
     for index in (1, 2, 3):
-        assert abs(rhs_normalized_surface(snap, index)) < 1e-3
+        assert abs(surface_rate(snap, index, "normalized")) < 1e-3
 
 
 def test_flat_torus_rates_vanish(torus_snapshot):
     snap = torus_snapshot
     for index in (1, 2):
-        assert abs(rhs_unnormalized_surface(snap, index)) < 1e-9
-        assert abs(rhs_normalized_surface(snap, index)) < 1e-9
+        for mode in flow.MODES:
+            assert abs(surface_rate(snap, index, mode)) < 1e-9
 
 
 def test_rate_inputs_are_validated(sphere_snapshot):
     snap = sphere_snapshot
-    for fn in (rhs_unnormalized_surface, rhs_normalized_surface):
-        with pytest.raises(ValueError, match="nonconstant"):
-            fn(snap, 0)
     scaled = dataclasses.replace(snap, eigenvectors=1.01 * snap.eigenvectors)
-    for fn in (rhs_unnormalized_surface, rhs_normalized_surface):
+    for mode in flow.MODES:
+        with pytest.raises(ValueError, match="nonconstant"):
+            surface_rate(snap, 0, mode)
         with pytest.raises(ValueError, match="M-norm"):
-            fn(scaled, 1)
+            surface_rate(scaled, 1, mode)
+
+
+MODE_CHECKS = {
+    "variation_report": variation_report,
+    "empty variation_report": lambda snaps, mode: variation_report([], mode),
+    "integrability_residuals":
+        lambda snaps, mode: integrability_residuals(snaps[:3], mode, 1),
+    "scalar_curvature_evolution_residual":
+        lambda snaps, mode: scalar_curvature_evolution_residual(snaps[:3],
+                                                                mode),
+    "surface_rate": lambda snaps, mode: surface_rate(snaps[1], 1, mode),
+}
+
+
+@pytest.mark.parametrize("check", sorted(MODE_CHECKS))
+def test_checks_refuse_an_unknown_mode(check, bumpy_sphere_traj):
+    # A misspelt mode must read as neither flow: taken as the
+    # unnormalized one, it compares a normalized run with the wrong rate.
+    snapshots = bumpy_sphere_traj.snapshots
+    for mode in flow.MODES:
+        MODE_CHECKS[check](snapshots, mode)
+    with pytest.raises(ValueError, match="'normalised'"):
+        MODE_CHECKS[check](snapshots, "normalised")
 
 
 # ---------------------------------------------------------------------------
@@ -291,6 +318,38 @@ def test_report_on_round_sphere_clusters(round_sphere_traj):
         # A complete icosahedral shell spans a stable eigenspace.
         assert row.tracking_ok
         assert row.rel_error < 1e-4
+
+
+def test_simple_rows_track_as_the_recorded_overlaps(bumpy_sphere_traj):
+    # A simple row's eigenspace overlap is the |<f_prev, M f>| that
+    # ``track`` recorded for its branch, so the flags agree.
+    snapshots = bumpy_sphere_traj.snapshots
+    rows = variation_report(snapshots, bumpy_sphere_traj.mode)
+    position = {snap.t: i for i, snap in enumerate(snapshots)}
+    for row in rows:
+        assert not row.is_cluster
+        window = snapshots[position[row.t] - 1:position[row.t] + 2]
+        recorded = min(snap.overlaps[row.index] for snap in window[1:])
+        _, cosine = _aligned_derivative(window, 1.0, row.members)
+        assert_allclose(cosine, recorded, rtol=1e-12)
+        assert row.tracking_ok == (recorded >= TRACKING_OVERLAP_FLOOR)
+
+
+def test_swapped_branch_column_loses_tracking(bumpy_sphere_traj):
+    # Branch 1's column at the window's last snapshot is replaced by
+    # branch 6's, which is M-orthogonal to it.  The overlaps recorded
+    # at solve time still pass; the report reads the blocks it is given.
+    window = [copy.copy(snap) for snap in bumpy_sphere_traj.snapshots[:3]]
+    swapped = window[2].eigenvectors.copy()
+    swapped[:, 1] = swapped[:, 6]
+    window[2].eigenvectors = swapped
+    assert window[2].overlaps[1] >= TRACKING_OVERLAP_FLOOR
+
+    rows = variation_report(window, bumpy_sphere_traj.mode)
+    assert [row.index for row in rows] == [1, 2, 3, 4, 5, 6]
+    assert rows[0].tracking_ok is False
+    assert math.isnan(rows[0].integ_res_1) and math.isnan(rows[0].integ_res_2)
+    assert all(row.tracking_ok for row in rows[1:])
 
 
 def test_report_skips_nonuniform_spacing(round_sphere_traj):
