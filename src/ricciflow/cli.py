@@ -58,7 +58,8 @@ def conformal_bump(mesh, perturbation):
 
     The polynomials are harmonic in the ambient coordinates, centered
     and rescaled so the bump has unit sup norm before the amplitude is
-    applied.
+    applied.  They are not periodic in a flat torus's chart, so
+    experiments refuse a bump there.
     """
     if perturbation.amplitude == 0.0:
         return np.zeros(mesh.n_vertices)
@@ -291,6 +292,11 @@ def _validate_experiment(config, mesh):
     if k + 2 > mesh.n_vertices:
         raise ConfigError(f"spectrum_k = {k} needs at least {k + 2} "
                           f"vertices; the mesh has {mesh.n_vertices}")
+    if (config.geometry.kind == "flat_torus"
+            and config.perturbation.amplitude > 0):
+        raise ConfigError("[perturbation] amplitude must be 0 on a flat "
+                          "torus: the bump is a polynomial of the chart "
+                          "coordinates, so it jumps across the seams")
     if experiment == "soliton":
         if config.geometry.kind != "icosphere":
             raise ConfigError("the soliton experiment needs an icosphere "

@@ -18,6 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .mesh import FLOW_MODES as MODES
 from .mesh import scalar_curvature
 from .spectral import (
     TRACKING_OVERLAP_FLOOR,
@@ -25,8 +26,6 @@ from .spectral import (
     solve_spectrum,
     track,
 )
-
-MODES = ("unnormalized", "normalized")
 
 # t_end comparisons tolerate accumulated additive roundoff.
 _T_SLOP = 1e-12

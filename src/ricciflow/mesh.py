@@ -15,6 +15,10 @@ from scipy import sparse
 
 MAX_SUBDIVISIONS = 8
 
+# The flows a conformal factor can follow.  They are named here, where
+# both ``flow`` and ``variation`` can read them.
+FLOW_MODES = ("unnormalized", "normalized")
+
 # Triangles thinner than this fraction of the mean area poison the
 # cotangent weights long before they underflow.
 DEGENERATE_AREA_FACTOR = 1e-12
@@ -76,18 +80,13 @@ class Mesh:
 
         self.vertices = vertices
         self.faces = faces
-        self._check_closed_oriented(n_vertices)
+        self._half_edge_order = self._check_closed_oriented(n_vertices)
 
         if corner_lengths is None:
-            tri = vertices[faces]
-            corner_lengths = np.stack(
-                [
-                    np.linalg.norm(tri[:, 2] - tri[:, 1], axis=1),
-                    np.linalg.norm(tri[:, 0] - tri[:, 2], axis=1),
-                    np.linalg.norm(tri[:, 1] - tri[:, 0], axis=1),
-                ],
-                axis=1,
-            )
+            # Corner k faces the edge from corner k+1 to corner k+2.
+            ahead, behind = faces[:, [2, 0, 1]], faces[:, [1, 2, 0]]
+            dx, dy, dz = (coord[ahead] - coord[behind] for coord in vertices.T)
+            corner_lengths = np.sqrt(dx * dx + dy * dy + dz * dz)
         corner_lengths = np.asarray(corner_lengths, dtype=np.float64)
         if corner_lengths.shape != (n_faces, 3):
             raise MeshError("corner_lengths must have shape (F, 3)")
@@ -127,11 +126,14 @@ class Mesh:
             )
         self.corner_angles = np.arccos(cos_angles)
 
-        area_acc = np.zeros(n_vertices)
-        angle_acc = np.zeros(n_vertices)
-        for k in range(3):
-            np.add.at(area_acc, faces[:, k], self.face_areas / 3.0)
-            np.add.at(angle_acc, faces[:, k], self.corner_angles[:, k])
+        # Each vertex sums over its corners 0, then 1, then 2, each in face
+        # order.
+        corners = faces.T.ravel()
+        area_acc = np.bincount(corners,
+                               weights=np.tile(self.face_areas / 3.0, 3),
+                               minlength=n_vertices)
+        angle_acc = np.bincount(corners, weights=self.corner_angles.T.ravel(),
+                                minlength=n_vertices)
         if np.any(area_acc <= 0):
             raise MeshError("isolated vertex: zero lumped area")
         self.base_vertex_area = area_acc
@@ -143,6 +145,13 @@ class Mesh:
         self._stiffness = None
 
     def _check_closed_oriented(self, n_vertices):
+        """Refuse a mesh that is not closed and consistently oriented.
+
+        Returns ``(order, twin)`` for ``assemble_stiffness``.  The
+        half-edges are (f0, f1), (f1, f2), (f2, f0), face by face;
+        ``order`` lists them by tail, then head, and ``twin[p]`` is the
+        reverse of half-edge ``order[p]``.
+        """
         f = self.faces
         tail = f.ravel()
         head = f[:, [1, 2, 0]].ravel()
@@ -150,14 +159,17 @@ class Mesh:
         # Directed half-edge codes are distinct exactly when no two faces
         # share an edge in the same direction; then the surface is closed
         # exactly when reversing every half-edge gives the same code set.
-        code = np.sort(tail * n + head)
+        code, reverse = tail * n + head, head * n + tail
+        order, twin = np.argsort(code), np.argsort(reverse)
+        code = code[order]
         if np.any(code[1:] == code[:-1]):
             raise MeshError(
                 "directed edge shared by two faces: non-manifold or "
                 "inconsistently oriented mesh"
             )
-        if not np.array_equal(np.sort(head * n + tail), code):
+        if not np.array_equal(reverse[twin], code):
             raise MeshError("mesh has boundary edges; a closed surface is required")
+        return order, twin
 
     @property
     def n_vertices(self):
@@ -188,25 +200,42 @@ def assemble_stiffness(mesh):
     dimensions L is invariant under conformal rescaling of the metric,
     so it is built from g0 once and reused along any flow.
 
+    Each half-edge (f[k], f[k+1]) of a face gets the weight
+    w = cot(angle)/2 of the corner k+2 facing it.  An edge's two
+    half-edges give L_ij = L_ji = -w_ij - w_ji, so L is exactly
+    symmetric.  L_ii sums, over the corners at i in face order, the
+    corner's outgoing plus incoming weight.
+
     Returns
     -------
     scipy.sparse.csr_matrix
-        V x V stiffness matrix.
+        V x V stiffness matrix with sorted column indices and no
+        duplicates; its pattern holds every edge and the diagonal.
     """
     faces = mesh.faces
-    # Corner k contributes w = cot(angle_k)/2 to the edge opposite it.
-    i_idx = np.concatenate([faces[:, 1], faces[:, 2], faces[:, 0]])
-    j_idx = np.concatenate([faces[:, 2], faces[:, 0], faces[:, 1]])
-    w = 0.5 * np.concatenate(
-        [mesh.corner_cotangents[:, 0],
-         mesh.corner_cotangents[:, 1],
-         mesh.corner_cotangents[:, 2]]
-    )
-    rows = np.concatenate([i_idx, j_idx, i_idx, j_idx])
-    cols = np.concatenate([j_idx, i_idx, i_idx, j_idx])
-    vals = np.concatenate([-w, -w, w, w])
     n = mesh.n_vertices
-    return sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    order, twin = mesh._half_edge_order
+    row = faces.ravel()[order]
+    col = faces[:, [1, 2, 0]].ravel()[order]
+    w = 0.5 * mesh.corner_cotangents[:, [2, 0, 1]]
+    # Row i holds its off-diagonals in column order, with the diagonal
+    # after those left of column i.
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(row, minlength=n) + 1, out=indptr[1:])
+    diagonal = indptr[:-1] + np.bincount(row[col < row], minlength=n)
+    # Sorted half-edge p moves past the diagonals of its earlier rows,
+    # and past its own row's when it lies right of it.
+    off = np.arange(len(order)) + row + (col > row)
+    indices = np.empty(indptr[-1], dtype=np.int64)
+    data = np.empty(indptr[-1])
+    indices[off] = col
+    indices[diagonal] = np.arange(n)
+    half = w.ravel()
+    data[off] = -half[order] - half[twin]
+    data[diagonal] = np.bincount(faces.ravel(),
+                                 weights=(w + w[:, [2, 0, 1]]).ravel(),
+                                 minlength=n)
+    return sparse.csr_matrix((data, indices, indptr), shape=(n, n))
 
 
 def assemble_mass(mesh, u):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import integrate
+from .mesh import FLOW_MODES, integrate
 from .spectral import (
     TRACKING_OVERLAP_FLOOR,
     eigenvalue_clusters,
@@ -38,9 +38,9 @@ class ClusterGaugeError(ValueError):
 
 
 def _check_mode(mode):
-    """Refuse a flow mode other than "unnormalized" or "normalized"."""
-    if mode not in ("unnormalized", "normalized"):
-        raise ValueError(f"flow mode must be 'unnormalized' or 'normalized', "
+    """Refuse a flow mode other than those in ``FLOW_MODES``."""
+    if mode not in FLOW_MODES:
+        raise ValueError(f"flow mode must be one of {FLOW_MODES}, "
                          f"not {mode!r}")
 
 

@@ -301,15 +301,16 @@ def test_perelman_failure_flushes_partial_outputs(tmp_path, capsys,
         return np.zeros(1), column
 
     monkeypatch.setattr(spectral, "lobpcg", missed_lobpcg)
-    # The flat torus's constant meets the contract before LOBPCG runs.
-    config = parse_config(TORUS_VERIFY + "\n[perturbation]\namplitude = 0.1\n")
+    # The bump makes R vary, so the constant misses the contract and
+    # LOBPCG runs.
+    config = parse_config(SPHERE_VERIFY)
     config.output_dir = str(tmp_path / "run")
     assert run_experiment(config, quiet=True) == 2
     err = capsys.readouterr().err
     assert "eigensolver failure at t=0: curvature-shifted pencil" in err
 
     out = tmp_path / "run"
-    assert len((out / "trajectory.csv").read_text().splitlines()) == 7
+    assert len((out / "trajectory.csv").read_text().splitlines()) == 8
     assert len((out / "variation.csv").read_text().splitlines()) > 1
     summary = json.loads((out / "summary.json").read_text())
     assert summary["stopping_reason"] == "t_end"
@@ -325,6 +326,19 @@ def test_missing_output_dir_is_a_config_error(capsys):
     config = parse_config(TORUS_VERIFY)
     assert run_experiment(config) == 3
     assert "config error" in capsys.readouterr().err
+
+
+def test_bump_on_flat_torus_is_refused(tmp_path, capsys):
+    # The bump is a polynomial of the chart coordinates: on a flat torus
+    # it jumps across the seams, so only amplitude 0 may run.
+    for amplitude, code in ((0.1, 3), (0.0, 0)):
+        config = parse_config(TORUS_VERIFY + "\n[perturbation]\n"
+                              f"amplitude = {amplitude}\n")
+        config.output_dir = str(tmp_path / str(amplitude))
+        assert run_experiment(config, quiet=True) == code
+        assert (tmp_path / str(amplitude)).exists() == (code == 0)
+    assert ("config error: [perturbation] amplitude must be 0 on a flat "
+            "torus" in capsys.readouterr().err)
 
 
 def test_experiment_geometry_validation(tmp_path, capsys):

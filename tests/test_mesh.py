@@ -1,4 +1,6 @@
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -282,6 +284,44 @@ def test_angle_defect_gauss_bonnet():
     assert_allclose(torus.angle_defects.sum(), 0.0, atol=1e-10)
 
 
+def jittered_icosphere(subdivisions, rng, jitter):
+    base = build_icosphere(subdivisions, 1.0)
+    spacing = base.corner_lengths.mean()
+    return Mesh(base.vertices
+                + jitter * spacing * rng.standard_normal(base.vertices.shape),
+                base.faces)
+
+
+def gathered_metric(mesh):
+    """Corner lengths by the (F, 3, 3) vertex gather, and the lumped
+    areas and angle sums by ``np.add.at``, as a bitwise reference."""
+    tri = mesh.vertices[mesh.faces]
+    lengths = np.stack([np.linalg.norm(tri[:, 2] - tri[:, 1], axis=1),
+                        np.linalg.norm(tri[:, 0] - tri[:, 2], axis=1),
+                        np.linalg.norm(tri[:, 1] - tri[:, 0], axis=1)],
+                       axis=1)
+    area, angle = np.zeros(mesh.n_vertices), np.zeros(mesh.n_vertices)
+    for k in range(3):
+        np.add.at(area, mesh.faces[:, k], mesh.face_areas / 3.0)
+        np.add.at(angle, mesh.faces[:, k], mesh.corner_angles[:, k])
+    return lengths, area, angle
+
+
+@pytest.mark.parametrize("mesh, embedded", [
+    (build_icosphere(2, 1.0), True),
+    (build_icosphere(4, 2.5), True),
+    (jittered_icosphere(2, np.random.default_rng(3), 0.3), True),
+    # Intrinsic lengths: the chart does not realize the wrap-around edges.
+    (build_flat_torus(8, 12, 0.7, 1.9), False),
+])
+def test_metric_matches_gather_reference(mesh, embedded):
+    lengths, area, angle = gathered_metric(mesh)
+    if embedded:
+        assert np.array_equal(mesh.corner_lengths, lengths)
+    assert np.array_equal(mesh.base_vertex_area, area)
+    assert np.array_equal(mesh.angle_defects, 2.0 * np.pi - angle)
+
+
 # ---------------------------------------------------------------------------
 # stiffness operator
 
@@ -296,6 +336,90 @@ def test_stiffness_symmetric_exactly():
     mesh = build_icosphere(2, 1.0)
     diff = mesh.stiffness - mesh.stiffness.T
     assert diff.nnz == 0 or np.max(np.abs(diff.data)) == 0.0
+
+
+def coo_stiffness(mesh):
+    """L by COO assembly and SciPy's duplicate sums, as a reference.
+
+    Its off-diagonals are sums of two terms, so their bits do not depend
+    on the order of the sum; the diagonal's order is whatever SciPy's
+    index sort leaves.
+    """
+    faces = mesh.faces
+    i_idx = np.concatenate([faces[:, 1], faces[:, 2], faces[:, 0]])
+    j_idx = np.concatenate([faces[:, 2], faces[:, 0], faces[:, 1]])
+    w = 0.5 * np.concatenate([mesh.corner_cotangents[:, 0],
+                              mesh.corner_cotangents[:, 1],
+                              mesh.corner_cotangents[:, 2]])
+    rows = np.concatenate([i_idx, j_idx, i_idx, j_idx])
+    cols = np.concatenate([j_idx, i_idx, i_idx, j_idx])
+    vals = np.concatenate([-w, -w, w, w])
+    n = mesh.n_vertices
+    return sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
+
+
+def corner_diagonal(mesh):
+    """L's diagonal summed in the order ``assemble_stiffness`` states:
+    corner by corner in face order, each adding the weights of its
+    outgoing and incoming half-edges."""
+    diagonal = np.zeros(mesh.n_vertices)
+    for face, cot in zip(mesh.faces, mesh.corner_cotangents):
+        for k in range(3):
+            outgoing, incoming = 0.5 * cot[(k + 2) % 3], 0.5 * cot[(k + 1) % 3]
+            diagonal[face[k]] += outgoing + incoming
+    return diagonal
+
+
+def off_text(vertices, faces):
+    lines = ["OFF", f"{len(vertices)} {len(faces)} 0"]
+    lines += [" ".join(repr(float(c)) for c in v) for v in vertices]
+    lines += ["3 " + " ".join(str(i) for i in f) for f in faces]
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def stiffness_cases(draw):
+    kind = draw(st.sampled_from(["icosphere", "torus", "off"]))
+    if kind == "torus":
+        sides = st.floats(0.2, 5.0)
+        l1, l2 = draw(sides), draw(sides)
+        assume(l1 != l2)
+        return build_flat_torus(draw(st.integers(3, 12)),
+                                draw(st.integers(3, 12)), l1, l2)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mesh = jittered_icosphere(draw(st.integers(0, 2)), rng,
+                              draw(st.floats(0.0, 0.3)))
+    if kind == "icosphere":
+        return mesh
+    # An OFF file with its own numbering: vertices shuffled, faces
+    # shuffled and each rotated to start at a random corner.
+    perm = rng.permutation(mesh.n_vertices)
+    rank = np.argsort(perm)
+    shift = rng.integers(0, 3, mesh.n_faces)[:, None]
+    faces = np.take_along_axis(rank[mesh.faces],
+                               (np.arange(3) + shift) % 3, axis=1)
+    faces = faces[rng.permutation(mesh.n_faces)]
+    with tempfile.TemporaryDirectory() as folder:
+        path = Path(folder) / "mesh.off"
+        path.write_text(off_text(mesh.vertices[perm], faces))
+        return load_off(path)
+
+
+@given(mesh=stiffness_cases())
+def test_stiffness_matches_coo_reference(mesh):
+    stiffness, reference = assemble_stiffness(mesh), coo_stiffness(mesh)
+    assert np.array_equal(stiffness.indptr, reference.indptr)
+    assert np.array_equal(stiffness.indices, reference.indices)
+    rows = np.repeat(np.arange(mesh.n_vertices), np.diff(stiffness.indptr))
+    diagonal = rows == stiffness.indices
+    bits, reference_bits = (m.data.view(np.uint64)
+                            for m in (stiffness, reference))
+    assert np.array_equal(bits[~diagonal], reference_bits[~diagonal])
+    assert (stiffness != stiffness.T).nnz == 0
+    scale = np.abs(reference.data).max()
+    assert (np.abs(stiffness.data[diagonal] - reference.data[diagonal]).max()
+            <= 1e-14 * scale)
+    assert np.array_equal(stiffness.data[diagonal], corner_diagonal(mesh))
 
 
 def embedded_dirichlet_energy(mesh, f):
@@ -323,12 +447,8 @@ def test_stiffness_structure_on_jittered_icospheres(subdivisions, seed,
                                                     jitter):
     # Jitter of a quarter edge length or more nearly always leaves some
     # edge with a negative cotangent weight (a non-Delaunay mesh).
-    base = build_icosphere(subdivisions, 1.0)
     rng = np.random.default_rng(seed)
-    spacing = base.corner_lengths.mean()
-    mesh = Mesh(base.vertices
-                + jitter * spacing * rng.standard_normal(base.vertices.shape),
-                base.faces)
+    mesh = jittered_icosphere(subdivisions, rng, jitter)
     stiffness = mesh.stiffness
     off_diagonal = stiffness - sparse.diags(stiffness.diagonal())
     assume(off_diagonal.max() > 0.0)  # some negative edge weight
@@ -552,11 +672,8 @@ def test_load_off_octahedron(tmp_path):
 
 def test_load_off_roundtrip_icosphere(tmp_path):
     mesh = build_icosphere(1, 1.0)
-    lines = ["OFF", f"{mesh.n_vertices} {mesh.n_faces} 0"]
-    lines += [" ".join(repr(float(c)) for c in v) for v in mesh.vertices]
-    lines += ["3 " + " ".join(str(i) for i in f) for f in mesh.faces]
     path = tmp_path / "sphere.off"
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text(off_text(mesh.vertices, mesh.faces))
     loaded = load_off(path)
     assert_allclose(loaded.vertices, mesh.vertices, rtol=0, atol=0)
     assert np.array_equal(loaded.faces, mesh.faces)

@@ -258,6 +258,23 @@ def test_lanczos_sees_only_the_deflated_operator(mesh, monkeypatch):
             assert abs(mdiag @ (const * x)) <= 1e-14 * math.sqrt(mdiag @ x**2)
 
 
+def test_lanczos_always_runs_to_machine_precision(monkeypatch):
+    # A looser ARPACK tol returns wrong sets that meet the residual
+    # contract (see lowest_pairs), so every call must pass tol=0.
+    real_eigsh = spectral.eigsh
+    tols = []
+
+    def recording_eigsh(*args, **kwargs):
+        tols.append(kwargs.get("tol"))
+        return real_eigsh(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, "eigsh", recording_eigsh)
+    for mesh in (build_icosphere(2, 1.0), build_flat_torus(8, 8, 1.0, 1.0)):
+        solve_spectrum(mesh.stiffness, mesh.base_vertex_area, k=6)
+    assert len(tols) >= 2
+    assert all(tol == 0 for tol in tols)
+
+
 def test_guard_retries_reuse_one_factorization(monkeypatch):
     mesh = build_flat_torus(8, 8, 1.0, 1.0)
     real_eigsh, real_splu = spectral.eigsh, spectral.sparse_linalg.splu
