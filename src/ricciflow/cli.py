@@ -12,6 +12,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -129,20 +130,46 @@ def write_summary_json(path, summary):
         handle.write("\n")
 
 
+@dataclass(eq=False)
+class SnapshotRecord:
+    """What the outputs read of a snapshot once no variation window holds it.
+
+    Scalars, the tracked eigenvalues and the log factor ``u``, from which
+    the summary rebuilds the state for Perelman's functional;
+    ``gauss_bonnet`` is the snapshot's integral of R dmu.
+    """
+
+    t: float
+    u: np.ndarray
+    area: float
+    r_avg: float
+    R_min: float
+    R_max: float
+    eigenvalues: np.ndarray
+    tracking_warnings: list
+    gauss_bonnet: float
+
+    @classmethod
+    def of(cls, snap):
+        return cls(snap.t, snap.u, snap.area, snap.r_avg, snap.R_min,
+                   snap.R_max, snap.eigenvalues, snap.tracking_warnings,
+                   integrate(snap.mass_diag, snap.R))
+
+
 def report_window(traj, rows):
     """Append the variation rows of ``traj``'s last three snapshots to ``rows``.
 
     Called after every recorded snapshot, this reports each interior time
     once, from the same three snapshots and in the same order as
     ``variation.variation_report`` on the whole run.  The window's oldest
-    snapshot then drops its eigenvectors: no later window, and no
-    tracking step, reads them.
+    snapshot is then replaced by its ``SnapshotRecord``: no later window,
+    and no tracking step, reads its curvature, mass or eigenvectors.
     """
     if len(traj.snapshots) < 3:
         return
     window = traj.snapshots[-3:]
     rows.extend(variation.variation_report(window, traj.mode))
-    window[0].eigenvectors = None
+    traj.snapshots[-3] = SnapshotRecord.of(window[0])
 
 
 def _nondecreasing(series, slack):
@@ -180,8 +207,7 @@ def _base_summary(config, traj):
 
     gb_target = 4.0 * math.pi * chi
     summary["gauss_bonnet_max_abs_error"] = max(
-        abs(integrate(snap.mass_diag, snap.R) - gb_target)
-        for snap in traj.snapshots)
+        abs(snap.gauss_bonnet - gb_target) for snap in traj.snapshots)
 
     if traj.mode == "unnormalized":
         law_errors = [
@@ -219,7 +245,7 @@ def _base_summary(config, traj):
     for snap in traj.snapshots:
         try:
             perelman_seq.append(variation.perelman_lambda(
-                snap, config.flow.solver_tol))
+                ConformalState(mesh, snap.u, snap.t), config.flow.solver_tol))
         except EigenSolverError as exc:
             summary.setdefault("failure", {
                 "t": snap.t, "message": str(exc),
@@ -343,6 +369,8 @@ def run_experiment(config, quiet=False):
                on_record=lambda traj: report_window(traj, rows))
     say(f"stopped: {traj.stopping_reason} after "
         f"{len(traj.snapshots)} snapshots")
+    # No window reaches the last two snapshots; all older ones are records.
+    traj.snapshots[-2:] = map(SnapshotRecord.of, traj.snapshots[-2:])
 
     summary = _base_summary(config, traj)
     if traj.snapshots:

@@ -98,9 +98,7 @@ class SpectrumSnapshot(ConformalState):
     tracked branches 0..k: column i is branch i's eigenfunction, of unit
     M-norm for M = diag(``mass_diag``), with eigenvalue
     ``eigenvalues[i]``.  ``overlaps`` are the tracking overlaps with the
-    previous snapshot.  ``eigenvectors`` is None once the command-line
-    variation report has moved its three-snapshot window past the
-    snapshot (``cli.report_window``); ``run`` alone keeps every block.
+    previous snapshot.
     """
 
     eigenvalues: np.ndarray
@@ -274,10 +272,10 @@ def run(initial, cfg, on_record=None):
 
     ``on_record(traj)``, when given, is called right after each snapshot
     is appended, with the trajectory so far (``traj.snapshots[-1]`` is
-    the new snapshot).  It may set ``eigenvectors = None`` on any
-    snapshot but the newest, whose block the next snapshot's tracking
-    reads; nothing else in ``run`` reads eigenvectors.  Without it
-    every snapshot keeps its block.
+    the new snapshot).  It may replace any snapshot but the newest,
+    whose eigenvectors the next snapshot's tracking reads; nothing else
+    in ``run`` reads the recorded snapshots.  Without it every snapshot
+    is kept whole.
 
     Returns
     -------

@@ -399,40 +399,45 @@ def load_off(path):
         raise ValueError(f"{path}: missing OFF header")
 
     tokens = " ".join(lines[1:]).split()
-    pos = 0
 
-    def take(count, kind, what):
-        nonlocal pos
-        if pos + count > len(tokens):
-            raise ValueError(f"{path}: truncated file while reading {what}")
-        out = []
-        for tok in tokens[pos:pos + count]:
-            try:
-                out.append(kind(tok))
-            except ValueError:
-                raise ValueError(f"{path}: bad {what} token {tok!r}") from None
-        pos += count
-        return out
+    def parse(block, dtype, names):
+        # One conversion per block; a failure is located token by token,
+        # and token i is named names[i % len(names)].
+        try:
+            return np.array(block, dtype=dtype)
+        except (ValueError, OverflowError):
+            for index, tok in enumerate(block):
+                try:
+                    np.array(tok, dtype=dtype)
+                except (ValueError, OverflowError):
+                    raise ValueError(f"{path}: bad {names[index % len(names)]}"
+                                     f" token {tok!r}") from None
+            raise
 
-    n_vertices, n_faces, _ = take(3, int, "counts")
+    if len(tokens) < 3:
+        raise ValueError(f"{path}: truncated file while reading counts")
+    n_vertices, n_faces, _ = parse(tokens[:3], np.int64, ["counts"]).tolist()
     # Checked before the header sizes any array: a triangle takes 4 tokens.
     if n_vertices < 0 or n_faces < 0:
         raise ValueError(f"{path}: OFF header has negative counts "
                          f"{n_vertices} vertices, {n_faces} faces")
     needed = 3 * n_vertices + 4 * n_faces
-    if needed > len(tokens) - pos:
+    if needed > len(tokens) - 3:
         raise ValueError(f"{path}: truncated file: the OFF header's "
                          f"{n_vertices} vertices and {n_faces} faces need "
-                         f"{needed} tokens, {len(tokens) - pos} follow")
-    verts = np.array(take(3 * n_vertices, float, "vertex"),
-                     dtype=np.float64).reshape(n_vertices, 3)
-    faces = np.empty((n_faces, 3), dtype=np.int64)
-    for fi in range(n_faces):
-        arity = take(1, int, "face size")[0]
-        if arity != 3:
-            raise ValueError(f"{path}: face {fi} has {arity} vertices; "
-                             "only triangles are supported")
-        faces[fi] = take(3, int, "face index")
-    if pos != len(tokens):
+                         f"{needed} tokens, {len(tokens) - 3} follow")
+    end = 3 + 3 * n_vertices
+    verts = parse(tokens[3:end], np.float64, ["vertex"]).reshape(n_vertices, 3)
+    block = parse(tokens[end:end + 4 * n_faces], np.int64,
+                  ["face size"] + ["face index"] * 3)
+    block = block.reshape(n_faces, 4)
+    # Rows up to the first non-triangle are read as a face-by-face parse
+    # would read them, so it names the same face and arity.
+    bad = np.flatnonzero(block[:, 0] != 3)
+    if bad.size:
+        raise ValueError(f"{path}: face {bad[0]} has {block[bad[0], 0]} "
+                         "vertices; only triangles are supported")
+    if end + 4 * n_faces != len(tokens):
         raise ValueError(f"{path}: trailing data after {n_faces} faces")
+    faces = np.ascontiguousarray(block[:, 1:])
     return Mesh(verts, faces)

@@ -17,8 +17,13 @@ from ricciflow.cli import (
     run_experiment,
 )
 from ricciflow.config import GeometrySpec, PerturbationSpec, parse_config
-from ricciflow.flow import ConformalState
-from ricciflow.mesh import build_flat_torus, build_icosphere, total_area
+from ricciflow.flow import ConformalState, SpectrumSnapshot
+from ricciflow.mesh import (
+    build_flat_torus,
+    build_icosphere,
+    integrate,
+    total_area,
+)
 
 TORUS_VERIFY = """\
 [geometry]
@@ -212,45 +217,75 @@ def test_verify_run_on_bumpy_sphere(tmp_path):
     assert summary["tracking_warning_count"] == 0
 
 
-def test_report_window_holds_three_eigenvector_blocks(tmp_path, monkeypatch):
+def test_report_window_holds_three_full_snapshots(tmp_path, monkeypatch):
     real_run, real_report = cli.run, variation.variation_report
-    live, reported, trajs = [], [], []
+    live, reported, summarized = [], [], []
 
     def watched_run(initial, cfg, on_record=None):
         def watching(traj):
-            live.append(sum(s.eigenvectors is not None
+            live.append(sum(isinstance(s, SpectrumSnapshot)
                             for s in traj.snapshots))
             on_record(traj)
 
-        trajs.append(real_run(initial, cfg, on_record=watching))
-        return trajs[-1]
+        return real_run(initial, cfg, on_record=watching)
 
     def counting_report(snapshots, mode):
         rows = real_report(snapshots, mode)
         reported.append(len(rows))
         return rows
 
+    def watched_summary(config, traj):
+        summarized.append(list(traj.snapshots))
+        return real_summary(config, traj)
+
+    real_summary = cli._base_summary
     monkeypatch.setattr(cli, "run", watched_run)
     # Wrapped through the module attribute, as the benchmark tracer does.
     monkeypatch.setattr(variation, "variation_report", counting_report)
+    monkeypatch.setattr(cli, "_base_summary", watched_summary)
     config = parse_config(SPHERE_VERIFY)
     config.output_dir = str(tmp_path / "run")
     assert run_experiment(config, quiet=True) == 0
 
     assert live == [1, 2, 3, 3, 3, 3, 3]
-    assert [s.eigenvectors is not None for s in trajs[0].snapshots] == \
-        [False] * 5 + [True] * 2
     assert reported == [6] * 5
+    # The summary sees records only, none holding a V-length array but u.
+    records = summarized[0]
+    assert len(records) == 7
+    assert all(type(s) is cli.SnapshotRecord for s in records)
+    assert not any(hasattr(s, name) for s in records
+                   for name in ("R", "mass_diag", "eigenvectors"))
 
-    # A plain run keeps every block; its whole-trajectory report has the
-    # rows the windows reported, and variation.csv has them all.
+    # A plain run keeps every snapshot whole; its whole-trajectory report
+    # has the rows the windows reported, and variation.csv has them all.
     mesh = build_geometry(config.geometry)
     traj = real_run(ConformalState(
         mesh, initial_log_factor(mesh, config.perturbation)), config.flow)
-    assert all(s.eigenvectors is not None for s in traj.snapshots)
+    assert all(isinstance(s, SpectrumSnapshot) for s in traj.snapshots)
     assert sum(reported) == len(real_report(traj.snapshots, traj.mode)) == 30
     _, rows_v = read_csv(tmp_path / "run" / "variation.csv")
     assert len(rows_v) == 30
+
+
+def test_records_give_the_outputs_of_full_snapshots(tmp_path):
+    config = parse_config(SPHERE_VERIFY)
+    config.output_dir = str(tmp_path / "run")
+    assert run_experiment(config, quiet=True) == 0
+    summary = json.loads((tmp_path / "run" / "summary.json").read_text())
+    _, rows = read_csv(tmp_path / "run" / "trajectory.csv")
+
+    mesh = build_geometry(config.geometry)
+    traj = cli.run(ConformalState(
+        mesh, initial_log_factor(mesh, config.perturbation)), config.flow)
+    assert summary["perelman"]["sequence"] == [
+        variation.perelman_lambda(snap, config.flow.solver_tol)
+        for snap in traj.snapshots]
+    assert summary["gauss_bonnet_max_abs_error"] == max(
+        abs(integrate(snap.mass_diag, snap.R) - 8.0 * math.pi)
+        for snap in traj.snapshots)
+    assert [[float(v) for v in row.values()] for row in rows] == [
+        [snap.t, snap.area, snap.r_avg, snap.R_min, snap.R_max,
+         *snap.eigenvalues[1:].tolist()] for snap in traj.snapshots]
 
 
 def test_reruns_are_byte_identical(tmp_path):

@@ -718,3 +718,19 @@ def test_load_off_rejects_trailing_data(tmp_path):
     path.write_text(OCTAHEDRON_OFF + "42\n")
     with pytest.raises(ValueError, match="trailing"):
         load_off(path)
+
+
+@pytest.mark.parametrize("old, new, what, token", [
+    ("6 8 12", "6 8 x", "counts", "x"),
+    ("0 -1 0\n", "0 -1 0.5e\n", "vertex", "0.5e"),
+    ("3 3 1 5", "3.0 3 1 5", "face size", "3.0"),
+    ("3 0 3 5", "3 0 3 5.5", "face index", "5.5"),
+    ("3 2 1 4", "3 2 99999999999999999999 4", "face index",
+     "99999999999999999999"),
+])
+def test_load_off_names_a_bad_token(old, new, what, token, tmp_path):
+    path = tmp_path / "token.off"
+    path.write_text(OCTAHEDRON_OFF.replace(old, new))
+    with pytest.raises(ValueError) as info:
+        load_off(path)
+    assert str(info.value) == f"{path}: bad {what} token {token!r}"

@@ -362,8 +362,8 @@ def window_fed_report(traj):
     fed = SpectrumTrajectory(mesh=traj.mesh, mode=traj.mode)
     rows = []
     for snap in traj.snapshots:
-        # A copy, since the window drops the block of its oldest snapshot.
-        fed.snapshots.append(copy.copy(snap))
+        # The window replaces its oldest entry of ``fed``, not the snapshot.
+        fed.snapshots.append(snap)
         report_window(fed, rows)
     return rows
 
