@@ -429,8 +429,7 @@ def load_off(path):
     end = 3 + 3 * n_vertices
     verts = parse(tokens[3:end], np.float64, ["vertex"]).reshape(n_vertices, 3)
     block = parse(tokens[end:end + 4 * n_faces], np.int64,
-                  ["face size"] + ["face index"] * 3)
-    block = block.reshape(n_faces, 4)
+                  ["face size"] + ["face index"] * 3).reshape(n_faces, 4)
     # Rows up to the first non-triangle are read as a face-by-face parse
     # would read them, so it names the same face and arity.
     bad = np.flatnonzero(block[:, 0] != 3)

@@ -219,6 +219,7 @@ def test_verify_run_on_bumpy_sphere(tmp_path):
 
 def test_report_window_holds_three_full_snapshots(tmp_path, monkeypatch):
     real_run, real_report = cli.run, variation.variation_report
+    real_summary = cli._base_summary
     live, reported, summarized = [], [], []
 
     def watched_run(initial, cfg, on_record=None):
@@ -238,7 +239,6 @@ def test_report_window_holds_three_full_snapshots(tmp_path, monkeypatch):
         summarized.append(list(traj.snapshots))
         return real_summary(config, traj)
 
-    real_summary = cli._base_summary
     monkeypatch.setattr(cli, "run", watched_run)
     # Wrapped through the module attribute, as the benchmark tracer does.
     monkeypatch.setattr(variation, "variation_report", counting_report)
