@@ -7,8 +7,11 @@ flow du/dt = r - R holds the total area fixed, with r the
 area-averaged scalar curvature.  Time stepping is classical RK4.  Each
 state computes its curvature R once, and that R serves as the first RK4
 stage and the stop checks; its vertex areas (the lumped mass diagonal)
-likewise serve the area, r and the spectrum.  A recorded snapshot is the
-state it was solved on plus its spectrum.
+likewise serve the area, r and the spectrum.  The three later stages
+build no state: each computes its vertex areas once and takes R from
+them by ``scalar_curvature``'s formula, so u is validated once per step,
+when the new state is built.  A recorded snapshot is the state it was
+solved on plus its spectrum.
 """
 
 import math
@@ -19,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .mesh import FLOW_MODES as MODES
-from .mesh import scalar_curvature
+from .mesh import _curvature, scalar_curvature
 from .spectral import (
     TRACKING_OVERLAP_FLOOR,
     EigenSolverError,
@@ -178,18 +181,19 @@ class SpectrumTrajectory:
         return np.array([s.t for s in self.snapshots])
 
 
-def _velocity(state, mode):
+def _velocity(R, mass_diag, mode):
     if mode == "normalized":
-        return state.r_avg - state.R
-    return -state.R
+        return np.einsum("i,i->", R, mass_diag) / mass_diag.sum() - R
+    return -R
 
 
 def step(state, cfg, dt):
     """Advance one classical RK4 step of length dt.
 
-    The first stage reads ``state``; the other three stages build a
-    state for their own intermediate factor.  A non-finite stage, result
-    or result area raises ``FlowBlowUpError`` carrying ``state``.
+    The first stage reads ``state``; the other three evaluate R and the
+    vertex areas of their own intermediate factor without building a
+    state.  A non-finite stage carries into the result; a non-finite
+    result or result area raises ``FlowBlowUpError`` carrying ``state``.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -197,9 +201,10 @@ def step(state, cfg, dt):
     u = state.u
 
     def stage(v):
-        return _velocity(ConformalState(mesh, v), cfg.mode)
+        mass_diag = mesh.base_vertex_area * np.exp(v)
+        return _velocity(_curvature(mesh, v, mass_diag), mass_diag, cfg.mode)
 
-    k1 = _velocity(state, cfg.mode)
+    k1 = _velocity(state.R, state.mass_diag, cfg.mode)
     try:
         k2 = stage(u + 0.5 * dt * k1)
         k3 = stage(u + 0.5 * dt * k2)

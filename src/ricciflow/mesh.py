@@ -53,6 +53,8 @@ class Mesh:
     base_vertex_area : (V,) ndarray
         Barycentric lumped area per vertex (one third of each incident
         triangle).
+    angle_defects : (V,) ndarray
+        2 pi minus the sum of the corner angles at each vertex.
     base_curvature : (V,) ndarray
         Gaussian curvature of g0: angle defect divided by lumped area.
     euler_characteristic : int
@@ -251,11 +253,12 @@ def assemble_mass(mesh, u):
 def scalar_curvature(mesh, u):
     """Scalar curvature of the conformal metric g = e^u g0.
 
-    Uses the surface conformal identity K = e^-u (K0 - Delta0 u / 2)
-    with R = 2K.  The discrete geometer's Laplacian of the base metric
-    is Delta0 u = -(L u) / base_vertex_area, so the stiffness term
-    enters with a plus sign.  Integrating R against the conformal area
-    element returns 4 * pi * chi for every finite u because the
+    The surface conformal identity K = e^-u (K0 - Delta0 u / 2), with
+    R = 2K and the discrete geometer's Laplacian
+    Delta0 u = -(L u) / base_vertex_area, reads R m = 2 delta + L u on
+    the vertex areas m = base_vertex_area * e^u, where delta is the
+    angle defect.  R is that quotient (``_curvature``).  Integrating R
+    against m returns 4 * pi * chi for every finite u because the
     stiffness has zero column sums (discrete Gauss-Bonnet).
     """
     u = np.asarray(u, dtype=np.float64)
@@ -263,8 +266,12 @@ def scalar_curvature(mesh, u):
         raise ValueError("u must be a per-vertex array")
     if not np.all(np.isfinite(u)):
         raise ValueError("conformal factor must be finite")
-    lap0_u = (mesh.stiffness @ u) / mesh.base_vertex_area
-    return 2.0 * np.exp(-u) * (mesh.base_curvature + 0.5 * lap0_u)
+    return _curvature(mesh, u, mesh.base_vertex_area * np.exp(u))
+
+
+def _curvature(mesh, u, mass_diag):
+    """R = (2 delta + L u) / m on the vertex areas m; u is not checked."""
+    return (2.0 * mesh.angle_defects + mesh.stiffness @ u) / mass_diag
 
 
 def integrate(mass_diag, field):

@@ -227,23 +227,32 @@ def test_recorded_snapshot_shares_the_state_factor():
 
 
 def test_run_evaluates_curvature_four_times_per_step(monkeypatch):
-    # Three RK4 stages and the new state; a snapshot takes its state's R.
+    # Three RK4 stages call the curvature formula directly; the new state
+    # reaches it through scalar_curvature.  A snapshot takes its state's R.
     mesh = build_icosphere(1, 1.0)
     initial = ConformalState(mesh, sphere_bump(mesh))
-    calls = []
+    formula = ricciflow.mesh._curvature
+    calls = {"formula": 0, "scalar_curvature": 0}
 
-    def counting(*args):
-        calls.append(args)
+    def counting_formula(*args):
+        calls["formula"] += 1
+        return formula(*args)
+
+    def counting_scalar_curvature(*args):
+        calls["scalar_curvature"] += 1
         return scalar_curvature(*args)
 
-    monkeypatch.setattr(ricciflow.flow, "scalar_curvature", counting)
+    monkeypatch.setattr(ricciflow.mesh, "_curvature", counting_formula)
+    monkeypatch.setattr(ricciflow.flow, "_curvature", counting_formula)
+    monkeypatch.setattr(ricciflow.flow, "scalar_curvature",
+                        counting_scalar_curvature)
     cfg = FlowConfig(mode="unnormalized", dt_init=1e-3, t_end=0.0105,
                      record_every=1, spectrum_k=2)
     traj = run(initial, cfg)
     assert traj.stopping_reason == "t_end"
     steps = len(traj.snapshots) - 1  # one snapshot per step, and t = 0
     assert steps == 11
-    assert len(calls) == 4 * steps
+    assert calls == {"formula": 4 * steps, "scalar_curvature": steps}
 
 
 def _explicit_rk4_step(mesh, u, dt, mode):
@@ -385,8 +394,9 @@ def test_unstable_run_returns_partial_trajectory():
 
 
 def test_exploding_step_hits_finiteness_guard():
-    # When an RK4 stage overflows, the curvature evaluation rejects the
-    # non-finite intermediate factor and the step reports a blow-up.
+    # When an RK4 stage overflows, the non-finite stage carries into the
+    # new factor, the new state's curvature evaluation rejects it and the
+    # step reports a blow-up.
     mesh = build_flat_torus(8, 8, 1.0, 1.0)
     u0 = np.full(mesh.n_vertices, -200.0)
     u0[17] = -100.0

@@ -585,6 +585,19 @@ def test_constant_conformal_shift_scales_curvature():
     assert_allclose(shifted, math.exp(-shift) * base, rtol=1e-12)
 
 
+def test_scalar_curvature_matches_conformal_identity():
+    # R m = 2 delta + L u on m = a e^u is the conformal identity
+    # R = e^-u (2 K0 + L u / a) with K0 = delta / a.
+    mesh = jittered_icosphere(3, np.random.default_rng(5), 0.3)
+    u = 0.4 * np.cos(3.0 * mesh.vertices[:, 2]) + 0.2 * mesh.vertices[:, 0]
+    expected = np.exp(-u) * (2.0 * mesh.base_curvature
+                             + (mesh.stiffness @ u) / mesh.base_vertex_area)
+    assert_allclose(scalar_curvature(mesh, u), expected, rtol=1e-13, atol=0)
+    # At u = 0 the quotient is (2 delta) / a, bit for bit 2 (delta / a).
+    assert np.array_equal(scalar_curvature(mesh, np.zeros(mesh.n_vertices)),
+                          2.0 * mesh.base_curvature)
+
+
 def test_scalar_curvature_rejects_nonfinite_u():
     mesh = build_icosphere(1, 1.0)
     u = np.zeros(mesh.n_vertices)
