@@ -132,7 +132,7 @@ def write_summary_json(path, summary):
 
 @dataclass(eq=False)
 class SnapshotRecord:
-    """What the outputs read of a snapshot once no variation window holds it.
+    """What a CLI trajectory keeps of each snapshot for the outputs.
 
     Scalars, the tracked eigenvalues and the log factor ``u``, from which
     the summary rebuilds the state for Perelman's functional;
@@ -156,20 +156,25 @@ class SnapshotRecord:
                    integrate(snap.mass_diag, snap.R))
 
 
-def report_window(traj, rows):
-    """Append the variation rows of ``traj``'s last three snapshots to ``rows``.
+def report_window(mode, rows):
+    """``run``'s ``on_record`` callback for a ``mode`` flow.
 
-    Called after every recorded snapshot, this reports each interior time
-    once, from the same three snapshots and in the same order as
-    ``variation.variation_report`` on the whole run.  The window's oldest
-    snapshot is then replaced by its ``SnapshotRecord``: no later window,
-    and no tracking step, reads its curvature, mass or eigenvectors.
+    Each snapshot joins a window of full snapshots.  Once the window holds
+    three, their ``variation.variation_report`` rows go to ``rows`` and the
+    oldest leaves: each interior time is reported once, as by
+    ``variation_report`` on the whole run.  The callback returns the
+    snapshot's ``SnapshotRecord``, which the trajectory keeps.
     """
-    if len(traj.snapshots) < 3:
-        return
-    window = traj.snapshots[-3:]
-    rows.extend(variation.variation_report(window, traj.mode))
-    traj.snapshots[-3] = SnapshotRecord.of(window[0])
+    window = []
+
+    def on_record(snapshot):
+        window.append(snapshot)
+        if len(window) == 3:
+            rows.extend(variation.variation_report(window, mode))
+            del window[0]
+        return SnapshotRecord.of(snapshot)
+
+    return on_record
 
 
 def _nondecreasing(series, slack):
@@ -366,11 +371,9 @@ def run_experiment(config, quiet=False):
         f"t_end={config.flow.t_end}")
     rows = []
     traj = run(ConformalState(mesh, u0), config.flow,
-               on_record=lambda traj: report_window(traj, rows))
+               on_record=report_window(config.flow.mode, rows))
     say(f"stopped: {traj.stopping_reason} after "
         f"{len(traj.snapshots)} snapshots")
-    # No window reaches the last two snapshots; all older ones are records.
-    traj.snapshots[-2:] = map(SnapshotRecord.of, traj.snapshots[-2:])
 
     summary = _base_summary(config, traj)
     if traj.snapshots:

@@ -161,7 +161,8 @@ class FlowConfig:
 class SpectrumTrajectory:
     """Recorded snapshots of one flow run plus termination metadata.
 
-    After a ``solver_failure`` stop, ``failure`` holds the failed state's
+    ``snapshots`` holds, in time order, each ``SpectrumSnapshot`` or what
+    ``run``'s ``on_record`` returned for it.  After a ``solver_failure`` stop, ``failure`` holds the failed state's
     time ``t``, the solver's ``message`` and its ``best_residual``.
     """
 
@@ -194,6 +195,9 @@ def step(state, cfg, dt):
     vertex areas of their own intermediate factor without building a
     state.  A non-finite stage carries into the result; a non-finite
     result or result area raises ``FlowBlowUpError`` carrying ``state``.
+    These checks, not NumPy's floating-point warnings, report a blow-up,
+    so the warnings are silenced here and any warning filter stops it by
+    name.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -206,13 +210,14 @@ def step(state, cfg, dt):
 
     k1 = _velocity(state.R, state.mass_diag, cfg.mode)
     try:
-        k2 = stage(u + 0.5 * dt * k1)
-        k3 = stage(u + 0.5 * dt * k2)
-        k4 = stage(u + dt * k3)
-        u_new = u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        new = ConformalState(mesh, u_new, state.t + dt)
-        if math.isfinite(new.area):
-            return new
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            k2 = stage(u + 0.5 * dt * k1)
+            k3 = stage(u + 0.5 * dt * k2)
+            k4 = stage(u + dt * k3)
+            u_new = u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            new = ConformalState(mesh, u_new, state.t + dt)
+            if math.isfinite(new.area):
+                return new
         raise ValueError(f"area {new.area} is not finite")
     except ValueError as exc:
         raise FlowBlowUpError(
@@ -275,12 +280,10 @@ def run(initial, cfg, on_record=None):
     topologies a blow-up time estimate t + A / (4 pi chi) is attached
     when the run ends early.
 
-    ``on_record(traj)``, when given, is called right after each snapshot
-    is appended, with the trajectory so far (``traj.snapshots[-1]`` is
-    the new snapshot).  It may replace any snapshot but the newest,
-    whose eigenvectors the next snapshot's tracking reads; nothing else
-    in ``run`` reads the recorded snapshots.  Without it every snapshot
-    is kept whole.
+    ``on_record(snapshot)``, when given, is called with each new
+    snapshot, and ``traj.snapshots`` keeps what it returns in the
+    snapshot's place; ``run`` never reads the kept entries back.  Without
+    it every snapshot is kept whole.
 
     Returns
     -------
@@ -294,17 +297,13 @@ def run(initial, cfg, on_record=None):
 
     area0 = initial.area
     floor = cfg.area_floor if cfg.area_floor is not None else 1e-6 * area0
-
-    def append(snapshot):
-        traj.snapshots.append(snapshot)
-        if on_record is not None:
-            on_record(traj)
+    keep = on_record if on_record is not None else (lambda snap: snap)
 
     state = initial
     steps = 0
     try:
         snapshot = _record(initial, cfg, None)
-        append(snapshot)
+        traj.snapshots.append(keep(snapshot))
         while True:
             r_min, r_max = state.R_min, state.R_max
             max_abs_r = max(-r_min, r_max)
@@ -335,10 +334,10 @@ def run(initial, cfg, on_record=None):
 
             if steps % cfg.record_every == 0:
                 snapshot = _record(state, cfg, snapshot)
-                append(snapshot)
+                traj.snapshots.append(keep(snapshot))
 
         if state.t > snapshot.t + _T_SLOP:
-            append(_record(state, cfg, snapshot))
+            traj.snapshots.append(keep(_record(state, cfg, snapshot)))
     except EigenSolverError as exc:
         reason = "solver_failure"
         traj.failure = {"t": state.t, "message": str(exc),

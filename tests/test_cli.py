@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -220,17 +221,22 @@ def test_verify_run_on_bumpy_sphere(tmp_path):
 def test_report_window_holds_three_full_snapshots(tmp_path, monkeypatch):
     real_run, real_report = cli.run, variation.variation_report
     real_summary = cli._base_summary
-    live, reported, summarized = [], [], []
+    # Every snapshot the flow hands over, for as long as anything holds it.
+    full = weakref.WeakSet()
+    live, live_in_report, reported, summarized = [], [], [], []
+    returned = []
 
     def watched_run(initial, cfg, on_record=None):
-        def watching(traj):
-            live.append(sum(isinstance(s, SpectrumSnapshot)
-                            for s in traj.snapshots))
-            on_record(traj)
+        def watching(snapshot):
+            full.add(snapshot)
+            returned.append(on_record(snapshot))
+            live.append(len(full))
+            return returned[-1]
 
         return real_run(initial, cfg, on_record=watching)
 
     def counting_report(snapshots, mode):
+        live_in_report.append(len(full))
         rows = real_report(snapshots, mode)
         reported.append(len(rows))
         return rows
@@ -247,11 +253,14 @@ def test_report_window_holds_three_full_snapshots(tmp_path, monkeypatch):
     config.output_dir = str(tmp_path / "run")
     assert run_experiment(config, quiet=True) == 0
 
-    assert live == [1, 2, 3, 3, 3, 3, 3]
+    # Two full snapshots outlive each callback, three live in a report.
+    assert live == [1, 2, 2, 2, 2, 2, 2]
+    assert live_in_report == [3] * 5
     assert reported == [6] * 5
     # The summary sees records only, none holding a V-length array but u.
     records = summarized[0]
     assert len(records) == 7
+    assert all(a is b for a, b in zip(records, returned, strict=True))
     assert all(type(s) is cli.SnapshotRecord for s in records)
     assert not any(hasattr(s, name) for s in records
                    for name in ("R", "mass_diag", "eigenvectors"))

@@ -207,13 +207,22 @@ def test_on_record_runs_after_each_append():
     mesh = build_flat_torus(8, 8, 1.0, 1.0)
     cfg = FlowConfig(mode="unnormalized", dt_init=1e-3, t_end=0.014,
                      record_every=5, spectrum_k=2)
-    seen = []
+    seen, kept = [], []
+
+    def on_record(snapshot):
+        seen.append(snapshot)
+        kept.append(object())
+        return kept[-1]
+
     traj = run(ConformalState(mesh, np.zeros(mesh.n_vertices)), cfg,
-               on_record=lambda t: seen.append((t, t.snapshots[-1].t)))
+               on_record=on_record)
     # t = 0, the two recording steps and the final partial step.
-    assert_allclose([t for _, t in seen], [0.0, 0.005, 0.01, 0.014],
+    assert_allclose([s.t for s in seen], [0.0, 0.005, 0.01, 0.014],
                     atol=1e-12)
-    assert all(t is traj for t, _ in seen)
+    assert all(type(s) is SpectrumSnapshot for s in seen)
+    # The trajectory keeps exactly what the callback returned, in order.
+    assert len(traj.snapshots) == len(kept)
+    assert all(a is b for a, b in zip(traj.snapshots, kept))
 
 
 def test_recorded_snapshot_shares_the_state_factor():
@@ -384,13 +393,29 @@ def test_unstable_run_returns_partial_trajectory():
     cfg = FlowConfig(mode="unnormalized", dt_init=0.05, cfl_safety=1.0,
                      t_end=100.0, record_every=10**6, spectrum_k=1,
                      curvature_cap=1e308, area_floor=1e-300)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        traj = run(ConformalState(mesh, u0), cfg)
+    traj = run(ConformalState(mesh, u0), cfg)
     assert traj.stopping_reason == "nonfinite_state"
     assert len(traj.snapshots) == 1
     assert traj.snapshots[0].t == 0.0
     assert np.all(np.isfinite(traj.snapshots[0].u))
+
+
+def test_blowup_stops_by_name_under_warnings_as_errors():
+    # The step's finiteness checks, not NumPy's overflow warnings, report
+    # a blow-up: with every warning raised as an error, the run still
+    # stops by name.
+    mesh = build_flat_torus(8, 8, 1.0, 1.0)
+    rng = np.random.default_rng(11)
+    u0 = 1e-2 * rng.standard_normal(mesh.n_vertices)
+    u0 -= u0.mean()
+    cfg = FlowConfig(mode="normalized", dt_init=0.05, cfl_safety=1.0,
+                     t_end=100.0, record_every=10**6, spectrum_k=1,
+                     curvature_cap=1e308, area_floor=1e-300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = run(ConformalState(mesh, u0), cfg)
+    assert traj.stopping_reason == "nonfinite_state"
+    assert [s.t for s in traj.snapshots] == [0.0]
 
 
 def test_exploding_step_hits_finiteness_guard():
@@ -401,10 +426,8 @@ def test_exploding_step_hits_finiteness_guard():
     u0 = np.full(mesh.n_vertices, -200.0)
     u0[17] = -100.0
     state = ConformalState(mesh, u0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        with pytest.raises(FlowBlowUpError, match="finite") as excinfo:
-            step(state, FlowConfig(), 1e-3)
+    with pytest.raises(FlowBlowUpError, match="finite") as excinfo:
+        step(state, FlowConfig(), 1e-3)
     assert excinfo.value.last_state is state
 
 
@@ -415,10 +438,8 @@ def test_nonfinite_normalized_stage_is_a_blowup():
     u0 = np.zeros(mesh.n_vertices)
     u0[0] = 5.0
     state = ConformalState(mesh, u0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        with pytest.raises(FlowBlowUpError, match="finite") as excinfo:
-            step(state, FlowConfig(mode="normalized"), 1.0)
+    with pytest.raises(FlowBlowUpError, match="finite") as excinfo:
+        step(state, FlowConfig(mode="normalized"), 1.0)
     assert excinfo.value.last_state is state
 
 

@@ -14,7 +14,6 @@ from ricciflow.flow import (
     ConformalState,
     FlowConfig,
     SpectrumSnapshot,
-    SpectrumTrajectory,
     run,
 )
 from ricciflow.mesh import (
@@ -358,13 +357,11 @@ def test_report_skips_nonuniform_spacing(round_sphere_traj):
 
 
 def window_fed_report(traj):
-    """Rows of ``report_window`` fed ``traj``'s snapshots one at a time."""
-    fed = SpectrumTrajectory(mesh=traj.mesh, mode=traj.mode)
+    """Rows of a ``report_window`` callback fed ``traj``'s snapshots in turn."""
     rows = []
+    on_record = report_window(traj.mode, rows)
     for snap in traj.snapshots:
-        # The window replaces its oldest entry of ``fed``, not the snapshot.
-        fed.snapshots.append(snap)
-        report_window(fed, rows)
+        on_record(snap)
     return rows
 
 
