@@ -497,16 +497,21 @@ def track(prev_vectors, values, vectors, mass_diag):
 def eigenvalue_clusters(values):
     """Group eigenvalue indices 1.. into near-degenerate clusters.
 
-    Consecutive eigenvalues whose relative gap is below
-    ``CLUSTER_REL_GAP`` belong to one cluster.  Index 0 (the constant
-    mode) is excluded.
+    ``values`` may come in tracked order, which leaves sorted order once
+    two branches cross.  Among the values sorted stably, consecutive ones
+    whose relative gap is below ``CLUSTER_REL_GAP`` belong to one
+    cluster.  Each cluster lists its indices in increasing order, and
+    clusters come in order of their smallest index.  Index 0 (the
+    constant mode) is excluded.
     """
     values = np.asarray(values, dtype=np.float64)
+    order = [0, *(np.argsort(values[1:], kind="stable") + 1).tolist()]
     groups = []
-    for i, (lo, hi) in enumerate(zip(values, values[1:]), start=1):
+    for prev, i in zip(order, order[1:]):
+        lo, hi = values[prev], values[i]
         scale = max(abs(lo), abs(hi), 1e-300)
         if groups and (hi - lo) <= CLUSTER_REL_GAP * scale:
             groups[-1].append(i)
         else:
             groups.append([i])
-    return groups
+    return sorted(sorted(group) for group in groups)

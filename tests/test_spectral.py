@@ -806,6 +806,16 @@ def test_cluster_detection_all_simple():
     assert eigenvalue_clusters([0.0, 1.0, 2.0, 4.0]) == [[1], [2], [3]]
 
 
+def test_clusters_group_tracked_values_by_size():
+    # Tracked order leaves sorted order once branches cross; a descending
+    # pair is a crossing, not a cluster.  Each group lists its indices in
+    # increasing order, and groups come by their smallest index.
+    assert eigenvalue_clusters([0.0, 1.0, 3.0, 2.0, 0.5]) == [
+        [1], [2], [3], [4]]
+    assert eigenvalue_clusters([0.0, 2.0, 1.0, 2.0 + 1e-9, 1.0 + 1e-9]) == [
+        [1, 3], [2, 4]]
+
+
 def test_sphere_first_shell_is_a_cluster():
     # Icosahedral symmetry keeps the 3-dimensional first shell exactly
     # degenerate, so cluster detection must group indices 1..3.

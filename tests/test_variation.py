@@ -351,6 +351,36 @@ def test_swapped_branch_column_loses_tracking(bumpy_sphere_traj):
     assert all(row.tracking_ok for row in rows[1:])
 
 
+def test_crossed_branches_stay_simple_rows(bumpy_sphere_traj):
+    # Branches 2 and 5 trade labels throughout the window, as tracking
+    # labels them after a crossing: the tracked eigenvalues leave sorted
+    # order, yet each branch is still a simple row with integrability
+    # residuals, the row it gives under its sorted label.
+    window = bumpy_sphere_traj.snapshots[:3]
+    labels = [0, 1, 5, 3, 4, 2, 6]
+    crossed = [copy.copy(snap) for snap in window]
+    for snap in crossed:
+        snap.eigenvalues = snap.eigenvalues[labels]
+        snap.eigenvectors = snap.eigenvectors[:, labels]
+        snap.overlaps = snap.overlaps[labels]
+    values = crossed[1].eigenvalues
+    assert values[2] > 2.0 * values[3] and values[4] > 2.0 * values[5]
+
+    rows = variation_report(crossed, bumpy_sphere_traj.mode)
+    plain = variation_report(window, bumpy_sphere_traj.mode)
+    assert [row.index for row in rows] == [1, 2, 3, 4, 5, 6]
+    assert not any(row.is_cluster for row in rows)
+    assert all(np.isfinite([row.integ_res_1, row.integ_res_2]).all()
+               for row in rows)
+
+    def fields(row):
+        return {name: value for name, value in dataclasses.asdict(row).items()
+                if name not in ("index", "members")}
+
+    assert_equal([fields(row) for row in rows],
+                 [fields(plain[labels[row.index] - 1]) for row in rows])
+
+
 def test_report_skips_nonuniform_spacing(round_sphere_traj):
     skewed = [round_sphere_traj.snapshots[i] for i in (0, 2, 3)]
     assert variation_report(skewed, round_sphere_traj.mode) == []
