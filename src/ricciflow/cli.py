@@ -159,11 +159,10 @@ class SnapshotRecord:
 def report_window(mode, rows):
     """``run``'s ``on_record`` callback for a ``mode`` flow.
 
-    Each snapshot joins a window of full snapshots.  Once the window holds
-    three, their ``variation.variation_report`` rows go to ``rows`` and the
-    oldest leaves: each interior time is reported once, as by
-    ``variation_report`` on the whole run.  The callback returns the
-    snapshot's ``SnapshotRecord``, which the trajectory keeps.
+    It adds each snapshot to a window of full snapshots; once the window
+    holds three, their ``variation.variation_report`` rows go to ``rows``
+    (each interior time once, as on the whole run) and the oldest leaves.
+    It returns the snapshot's ``SnapshotRecord`` for the trajectory.
     """
     window = []
 

@@ -161,8 +161,8 @@ class FlowConfig:
 class SpectrumTrajectory:
     """Recorded snapshots of one flow run plus termination metadata.
 
-    ``snapshots`` holds, in time order, each ``SpectrumSnapshot`` or what
-    ``run``'s ``on_record`` returned for it.  After a ``solver_failure`` stop, ``failure`` holds the failed state's
+    ``snapshots`` holds what ``run`` kept of each snapshot, in time order.
+    After a ``solver_failure`` stop, ``failure`` holds the failed state's
     time ``t``, the solver's ``message`` and its ``best_residual``.
     """
 
@@ -194,10 +194,8 @@ def step(state, cfg, dt):
     The first stage reads ``state``; the other three evaluate R and the
     vertex areas of their own intermediate factor without building a
     state.  A non-finite stage carries into the result; a non-finite
-    result or result area raises ``FlowBlowUpError`` carrying ``state``.
-    These checks, not NumPy's floating-point warnings, report a blow-up,
-    so the warnings are silenced here and any warning filter stops it by
-    name.
+    result or result area raises ``FlowBlowUpError`` carrying ``state``
+    under any warning filter, as NumPy's floating-point warnings are off.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")

@@ -497,21 +497,16 @@ def track(prev_vectors, values, vectors, mass_diag):
 def eigenvalue_clusters(values):
     """Group eigenvalue indices 1.. into near-degenerate clusters.
 
-    ``values`` may come in tracked order, which leaves sorted order once
-    two branches cross.  Among the values sorted stably, consecutive ones
-    whose relative gap is below ``CLUSTER_REL_GAP`` belong to one
-    cluster.  Each cluster lists its indices in increasing order, and
-    clusters come in order of their smallest index.  Index 0 (the
-    constant mode) is excluded.
+    Sorted stably, consecutive eigenvalues whose relative gap is below
+    ``CLUSTER_REL_GAP`` belong to one cluster, so ``values`` may come in
+    tracked order, which leaves sorted order once two branches cross.
+    Clusters list their indices in increasing order and come in order of
+    their smallest index.  Index 0 (the constant mode) is excluded.
     """
     values = np.asarray(values, dtype=np.float64)
-    order = [0, *(np.argsort(values[1:], kind="stable") + 1).tolist()]
-    groups = []
-    for prev, i in zip(order, order[1:]):
-        lo, hi = values[prev], values[i]
-        scale = max(abs(lo), abs(hi), 1e-300)
-        if groups and (hi - lo) <= CLUSTER_REL_GAP * scale:
-            groups[-1].append(i)
-        else:
-            groups.append([i])
-    return sorted(sorted(group) for group in groups)
+    order = np.argsort(values[1:], kind="stable") + 1
+    lo, hi = values[order[:-1]], values[order[1:]]
+    scale = np.maximum(np.maximum(np.abs(lo), np.abs(hi)), 1e-300)
+    starts = np.flatnonzero(~(hi - lo <= CLUSTER_REL_GAP * scale)) + 1
+    groups = np.split(order, starts) if len(order) else []
+    return sorted(sorted(group.tolist()) for group in groups)

@@ -387,7 +387,7 @@ def test_report_skips_nonuniform_spacing(round_sphere_traj):
 
 
 def window_fed_report(traj):
-    """Rows of a ``report_window`` callback fed ``traj``'s snapshots in turn."""
+    """Rows of a ``report_window`` callback fed ``traj``'s snapshots."""
     rows = []
     on_record = report_window(traj.mode, rows)
     for snap in traj.snapshots:
