@@ -84,12 +84,18 @@ def initial_log_factor(mesh, perturbation, target_area=None):
 
     With no target the shift restores the base metric's area, so
     perturbed and unperturbed runs of one geometry live at the same
-    scale; the conjecture experiment passes ``target_area=1.0``.
+    scale; the conjecture experiment passes ``target_area=1.0``.  A bump
+    whose area overflows is a ``ConfigError``.
     """
     u = conformal_bump(mesh, perturbation)
     if target_area is None:
         target_area = total_area(mesh, np.zeros(mesh.n_vertices))
-    u += math.log(target_area / total_area(mesh, u))
+    with np.errstate(over="ignore"):
+        bump_area = total_area(mesh, u)
+    if bump_area == math.inf:
+        raise ConfigError(f"[perturbation] amplitude = "
+                          f"{perturbation.amplitude}: the area overflows")
+    u += math.log(target_area / bump_area)
     return u
 
 
@@ -360,6 +366,12 @@ def run_experiment(config, quiet=False):
         _validate_experiment(config, mesh)
         target_area = 1.0 if config.experiment == "conjecture" else None
         u0 = initial_log_factor(mesh, config.perturbation, target_area)
+        try:
+            initial = ConformalState(mesh, u0)
+        except ValueError as exc:
+            amplitude = config.perturbation.amplitude
+            raise ConfigError(f"[perturbation] amplitude = {amplitude}: "
+                              f"{exc}") from exc
         out_dir = Path(config.output_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
     except (ConfigError, ValueError, OSError) as exc:
@@ -369,7 +381,7 @@ def run_experiment(config, quiet=False):
     say(f"{config.experiment}: {mesh!r}, mode={config.flow.mode}, "
         f"t_end={config.flow.t_end}")
     rows = []
-    traj = run(ConformalState(mesh, u0), config.flow,
+    traj = run(initial, config.flow,
                on_record=report_window(config.flow.mode, rows))
     say(f"stopped: {traj.stopping_reason} after "
         f"{len(traj.snapshots)} snapshots")

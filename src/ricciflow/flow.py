@@ -4,20 +4,19 @@ On a surface the flow stays inside the conformal class of the base
 metric, so the state is a single per-vertex log factor u with
 g(t) = e^u g0.  The unnormalized flow is du/dt = -R; the normalized
 flow du/dt = r - R holds the total area fixed, with r the
-area-averaged scalar curvature.  Time stepping is classical RK4.  Each
-state computes its curvature R once, and that R serves as the first RK4
-stage and the stop checks; its vertex areas (the lumped mass diagonal)
-likewise serve the area, r and the spectrum.  The three later stages
-build no state: each computes its vertex areas once and takes R from
-them by ``scalar_curvature``'s formula, so u is validated once per step,
-when the new state is built.  A recorded snapshot is the state it was
-solved on plus its spectrum.
+area-averaged scalar curvature.  Time stepping is classical RK4.  A
+state is built only for a metric: it checks u and t, and computes its
+curvature R, its vertex areas (the lumped mass diagonal) and its area
+once; R serves as the first RK4 stage and the stop checks.  The three
+later stages build no state: each computes its vertex areas once and
+takes R from them by ``scalar_curvature``'s formula, so u is validated
+once per step, when the new state is built.  A recorded snapshot is the
+state it was solved on, sharing its arrays, plus its spectrum.
 """
 
 import math
 import mmap
-from dataclasses import KW_ONLY, InitVar, dataclass, field
-from functools import cached_property
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,42 +41,34 @@ class FlowBlowUpError(RuntimeError):
         self.last_state = last_state
 
 
-@dataclass(eq=False)
 class ConformalState:
     """Flow state: mesh, per-vertex log conformal factor, time.
 
-    ``R`` is the scalar curvature of e^u g0, computed (and u validated)
-    once when the state is built.  ``mass_diag``, the vertex areas
-    base_vertex_area * e^u, is computed on first use; ``area`` and the
-    area-averaged curvature ``r_avg`` read it.  A snapshot takes R and
-    ``mass_diag`` from the flow state it was solved on (keyword ``state``,
-    of the same mesh and u) instead.  ``u``
-    must not be modified in place afterwards.  States compare by
-    identity: two states are equal only if they are the same object.
+    Built only for a metric: ``u`` must give finite, positive vertex
+    areas and a finite total area, and ``t`` must be finite, or the
+    constructor raises ``ValueError``.  The scalar curvature ``R`` of
+    e^u g0, the vertex areas ``mass_diag`` (base_vertex_area * e^u) and
+    ``area`` are computed then; ``r_avg``, ``R_min`` and ``R_max`` are
+    read off them.  ``u`` must not be modified in place afterwards.
+    States compare by identity: two states are equal only if they are
+    the same object.
     """
 
-    mesh: object
-    u: np.ndarray
-    t: float = 0.0
-    R: np.ndarray = field(init=False, repr=False)
-    _: KW_ONLY
-    state: InitVar["ConformalState"] = None
-
-    def __post_init__(self, state):
-        self.u = np.asarray(self.u, dtype=np.float64)
-        if state is None:
-            self.R = scalar_curvature(self.mesh, self.u)
-        else:
-            self.R = state.R
-            vars(self)["mass_diag"] = state.mass_diag
-
-    @cached_property
-    def mass_diag(self):
-        return self.mesh.base_vertex_area * np.exp(self.u)
-
-    @cached_property
-    def area(self):
-        return float(self.mass_diag.sum())
+    def __init__(self, mesh, u, t=0.0):
+        if not math.isfinite(t):
+            raise ValueError(f"t must be finite, got {t}")
+        self.mesh = mesh
+        self.u = np.asarray(u, dtype=np.float64)
+        self.t = t
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            self.R = scalar_curvature(mesh, self.u)
+            self.mass_diag = mesh.base_vertex_area * np.exp(self.u)
+            self.area = float(self.mass_diag.sum())
+        # u is finite here, so each vertex area lies in [0, inf].
+        if not (self.mass_diag.min() > 0 and self.area < math.inf):
+            raise ValueError(
+                f"u in [{self.u.min():.6g}, {self.u.max():.6g}] gives vertex "
+                f"areas that are not finite and positive")
 
     @property
     def r_avg(self):
@@ -93,10 +84,11 @@ class ConformalState:
         return float(self.R.max())
 
 
-@dataclass(kw_only=True, eq=False)
 class SpectrumSnapshot(ConformalState):
     """A recorded state with the spectrum solved on its metric.
 
+    Built from ``state``, whose ``mesh``, ``u``, ``t``, ``R``,
+    ``mass_diag`` and ``area`` it shares rather than recomputes.
     ``eigenvalues`` (k + 1,) and ``eigenvectors`` (V, k + 1) are the
     tracked branches 0..k: column i is branch i's eigenfunction, of unit
     M-norm for M = diag(``mass_diag``), with eigenvalue
@@ -104,10 +96,13 @@ class SpectrumSnapshot(ConformalState):
     previous snapshot.
     """
 
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-    overlaps: np.ndarray = None
-    tracking_warnings: list = field(default_factory=list)
+    def __init__(self, state, eigenvalues, eigenvectors, overlaps=None,
+                 tracking_warnings=()):
+        vars(self).update(vars(state))
+        self.eigenvalues = eigenvalues
+        self.eigenvectors = eigenvectors
+        self.overlaps = overlaps
+        self.tracking_warnings = list(tracking_warnings)
 
 
 @dataclass
@@ -193,9 +188,10 @@ def step(state, cfg, dt):
 
     The first stage reads ``state``; the other three evaluate R and the
     vertex areas of their own intermediate factor without building a
-    state.  A non-finite stage carries into the result; a non-finite
-    result or result area raises ``FlowBlowUpError`` carrying ``state``
-    under any warning filter, as NumPy's floating-point warnings are off.
+    state.  A non-finite stage carries into the result; a result that
+    gives no metric, which the new state refuses, raises
+    ``FlowBlowUpError`` carrying ``state`` under any warning filter, as
+    NumPy's floating-point warnings are off.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -207,16 +203,13 @@ def step(state, cfg, dt):
         return _velocity(_curvature(mesh, v, mass_diag), mass_diag, cfg.mode)
 
     k1 = _velocity(state.R, state.mass_diag, cfg.mode)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        k2 = stage(u + 0.5 * dt * k1)
+        k3 = stage(u + 0.5 * dt * k2)
+        k4 = stage(u + dt * k3)
+        u_new = u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     try:
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            k2 = stage(u + 0.5 * dt * k1)
-            k3 = stage(u + 0.5 * dt * k2)
-            k4 = stage(u + dt * k3)
-            u_new = u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            new = ConformalState(mesh, u_new, state.t + dt)
-            if math.isfinite(new.area):
-                return new
-        raise ValueError(f"area {new.area} is not finite")
+        return ConformalState(mesh, u_new, state.t + dt)
     except ValueError as exc:
         raise FlowBlowUpError(
             f"non-finite conformal factor in step at t={state.t:.6g}",
@@ -238,10 +231,6 @@ def _unpinned_copy(block):
 
 def _record(state, cfg, prev_snapshot):
     mass_diag = state.mass_diag
-    if not np.all((mass_diag > 0) & (mass_diag < np.inf)):
-        # e^u overflowed or underflowed: there is no pencil to solve.
-        raise EigenSolverError(f"vertex areas not finite and positive at "
-                               f"t={state.t:.6g}")
     values, vectors = solve_spectrum(state.mesh.stiffness, mass_diag,
                                      cfg.spectrum_k, cfg.solver_tol)
     if prev_snapshot is None:
@@ -254,16 +243,8 @@ def _record(state, cfg, prev_snapshot):
         for i, overlap in enumerate(overlaps)
         if overlap < TRACKING_OVERLAP_FLOOR
     ]
-    return SpectrumSnapshot(
-        mesh=state.mesh,
-        u=state.u,
-        t=state.t,
-        state=state,
-        eigenvalues=values,
-        eigenvectors=_unpinned_copy(vectors),
-        overlaps=overlaps,
-        tracking_warnings=warnings,
-    )
+    return SpectrumSnapshot(state, values, _unpinned_copy(vectors), overlaps,
+                            warnings)
 
 
 def run(initial, cfg, on_record=None):

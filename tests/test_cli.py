@@ -463,6 +463,22 @@ def test_main_rejects_overflowing_geometry(tmp_path, capsys):
     assert "config error: face areas are not finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("amplitude", [800, 705])
+def test_main_rejects_an_amplitude_that_gives_no_metric(amplitude, tmp_path,
+                                                        capsys):
+    # 800: the bump's area overflows; 705: the area shift puts u near
+    # -1189, where the vertex areas underflow to zero.
+    config_path = tmp_path / "spike.cfg"
+    config_path.write_text(SPHERE_VERIFY.replace(
+        "amplitude = 0.1", f"amplitude = {amplitude}"))
+    out_dir = tmp_path / "spike"
+    assert main(["verify", "--config", str(config_path),
+                 "--out", str(out_dir), "--quiet"]) == 3
+    assert not out_dir.exists()
+    assert (f"config error: [perturbation] amplitude = {amplitude}.0: "
+            in capsys.readouterr().err)
+
+
 @pytest.mark.parametrize("out", ["taken", "taken/run"])
 def test_main_rejects_output_path_on_a_file(out, tmp_path, capsys):
     config_path = tmp_path / "torus.cfg"

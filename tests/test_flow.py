@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import mmap
 import warnings
@@ -34,9 +33,9 @@ def sphere_bump(mesh, amplitude=0.1):
 
 
 def fake_snapshots(mesh, times):
-    return [SpectrumSnapshot(mesh=mesh, u=np.zeros(mesh.n_vertices), t=t,
-                             eigenvalues=np.zeros(0),
-                             eigenvectors=np.zeros((mesh.n_vertices, 0)))
+    zeros = np.zeros(mesh.n_vertices)
+    return [SpectrumSnapshot(ConformalState(mesh, zeros, t), np.zeros(0),
+                             np.zeros((mesh.n_vertices, 0)))
             for t in times]
 
 
@@ -52,6 +51,17 @@ def test_state_validation():
     bad[3] = np.nan
     with pytest.raises(ValueError, match="finite"):
         ConformalState(mesh, bad)
+    # A non-finite time would never reach t_end in run.
+    for t in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="t must be finite"):
+            ConformalState(mesh, np.zeros(mesh.n_vertices), t)
+    # e^u overflows and underflows: finite u, but no metric, and no
+    # RuntimeWarning under the suite's warnings-as-errors.
+    for spike in (800.0, -800.0):
+        bad[3] = spike
+        with pytest.raises(ValueError, match=r"u in \[.*\] gives vertex "
+                           "areas that are not finite and positive"):
+            ConformalState(mesh, bad)
 
 
 def test_config_defaults_and_validation():
@@ -174,10 +184,11 @@ def test_snapshot_is_the_state_it_was_solved_on():
     assert issubclass(ricciflow.SpectrumSnapshot, ricciflow.ConformalState)
     mesh = build_icosphere(1, 1.0)
     u = sphere_bump(mesh, amplitude=0.3)
-    snap = SpectrumSnapshot(mesh=mesh, u=u, t=0.5, eigenvalues=np.zeros(1),
-                            eigenvectors=np.zeros((mesh.n_vertices, 1)))
-    for candidate, factor in ((snap, u),
-                              (dataclasses.replace(snap, u=-u), -u)):
+    snap = SpectrumSnapshot(ConformalState(mesh, u, t=0.5), np.zeros(1),
+                            np.zeros((mesh.n_vertices, 1)))
+    negated = SpectrumSnapshot(ConformalState(mesh, -u, t=0.5),
+                               snap.eigenvalues, snap.eigenvectors)
+    for candidate, factor in ((snap, u), (negated, -u)):
         state = ConformalState(mesh, factor, t=0.5)
         assert np.array_equal(candidate.R, scalar_curvature(mesh, factor))
         assert np.array_equal(candidate.mass_diag,
@@ -200,7 +211,8 @@ def test_states_and_snapshots_compare_by_identity():
     later = snapshots[2]
     assert later in snapshots
     assert snapshots.index(later) == 2
-    assert dataclasses.replace(later) != later
+    assert SpectrumSnapshot(later, later.eigenvalues,
+                            later.eigenvectors) != later
 
 
 def test_on_record_runs_after_each_append():

@@ -14,7 +14,7 @@ import ricciflow.spectral as spectral
 import ricciflow.variation as variation
 from ricciflow.cli import conformal_bump
 from ricciflow.config import PerturbationSpec
-from ricciflow.flow import SpectrumSnapshot
+from ricciflow.flow import ConformalState, SpectrumSnapshot
 from ricciflow.mesh import (
     Mesh,
     build_flat_torus,
@@ -39,8 +39,7 @@ def sphere_pencil(subdivisions=3, radius=1.0):
 
 def snapshot_from_spectrum(mesh, values, vectors, u=None):
     u = np.zeros(mesh.n_vertices) if u is None else u
-    return SpectrumSnapshot(mesh=mesh, u=u, eigenvalues=values,
-                            eigenvectors=vectors)
+    return SpectrumSnapshot(ConformalState(mesh, u), values, vectors)
 
 
 # ---------------------------------------------------------------------------

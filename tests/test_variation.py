@@ -46,8 +46,7 @@ def make_snapshot(mesh, u=None, k=6):
     """Snapshot of the metric e^u g0 with its spectrum 0..k."""
     state = ConformalState(mesh, np.zeros(mesh.n_vertices) if u is None else u)
     values, vectors = solve_spectrum(mesh.stiffness, state.mass_diag, k)
-    return SpectrumSnapshot(mesh=mesh, u=state.u, eigenvalues=values,
-                            eigenvectors=vectors)
+    return SpectrumSnapshot(state, values, vectors)
 
 
 @pytest.fixture(scope="module")
@@ -147,7 +146,7 @@ def test_flat_torus_rates_vanish(torus_snapshot):
 
 def test_rate_inputs_are_validated(sphere_snapshot):
     snap = sphere_snapshot
-    scaled = dataclasses.replace(snap, eigenvectors=1.01 * snap.eigenvectors)
+    scaled = SpectrumSnapshot(snap, snap.eigenvalues, 1.01 * snap.eigenvectors)
     for mode in flow.MODES:
         with pytest.raises(ValueError, match="nonconstant"):
             surface_rate(snap, 0, mode)
@@ -184,9 +183,9 @@ def test_checks_refuse_an_unknown_mode(check, bumpy_sphere_traj):
 
 def fake_lambda_snapshots(times, lam_rows):
     mesh = build_flat_torus(3, 3, 1.0, 1.0)
-    return [SpectrumSnapshot(mesh=mesh, u=np.zeros(mesh.n_vertices), t=t,
-                             eigenvalues=np.array(lams, dtype=float),
-                             eigenvectors=None)
+    zeros = np.zeros(mesh.n_vertices)
+    return [SpectrumSnapshot(ConformalState(mesh, zeros, t),
+                             np.array(lams, dtype=float), None)
             for t, lams in zip(times, lam_rows)]
 
 
