@@ -27,6 +27,7 @@ from .mesh import (
     load_off,
     total_area,
 )
+from .modelspaces import round_sphere
 from .spectral import EigenSolverError
 
 MONOTONE_SLACK = 1e-8
@@ -289,10 +290,9 @@ def _variation_summary(rows):
 
 
 def _soliton_summary(config, traj):
-    # Pure rescaling law: sigma(t) = 1 + 2 eps t with eps = -1/radius^2
-    # on a surface sphere; lambda_1(t) * sigma(t) should hold at lambda_1(0).
-    radius = config.geometry.radius
-    eps = -1.0 / radius**2
+    # Pure rescaling law sigma(t) = 1 + 2 eps t: lambda_1(t) * sigma(t)
+    # should hold at lambda_1(0).
+    eps = round_sphere(2, config.geometry.radius).epsilon
     lam0 = _min_positive_eigenvalue(traj.snapshots[0])
     deviations = []
     for snap in traj.snapshots:
@@ -422,14 +422,10 @@ def main(argv=None):
                          help="suppress progress output")
     args = parser.parse_args(argv)
 
+    # A read error, a non-UTF-8 file and a ConfigError are config errors.
     try:
-        text = Path(args.config).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 3
-    try:
-        config = parse_config(text)
-    except ConfigError as exc:
+        config = parse_config(Path(args.config).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 3
 

@@ -73,27 +73,18 @@ def _parse_float(raw):
         raise ValueError(f"expected a number, got {raw!r}") from None
 
 
-def _parse_str(raw):
-    return raw
-
-
 # The spec sections take their keys and value types from the dataclass
 # fields they fill.
-_PARSERS = {int: _parse_int, float: _parse_float, str: _parse_str}
+_PARSERS = {int: _parse_int, float: _parse_float, str: str}
 _SECTION_KEYS = {
     **{section: {f.name: _PARSERS[f.type] for f in fields(spec)}
        for section, spec in (("geometry", GeometrySpec),
                              ("perturbation", PerturbationSpec),
                              ("flow", FlowConfig))},
-    "output": {"directory": _parse_str},
-    "experiment": {"name": _parse_str},
+    "output": {"directory": str},
+    "experiment": {"name": str},
 }
 
-_GEOMETRY_REQUIRED = {
-    "icosphere": (),
-    "flat_torus": ("n", "m"),
-    "off_file": ("path",),
-}
 _GEOMETRY_ALLOWED = {
     "icosphere": ("kind", "subdivisions", "radius"),
     "flat_torus": ("kind", "n", "m", "l1", "l2"),
@@ -167,8 +158,10 @@ def parse_config(text):
                 f"key {key!r} does not apply to geometry kind {kind!r}",
                 line=lines[("geometry", key)],
             )
-    for key in _GEOMETRY_REQUIRED[kind]:
-        if key not in geo_values:
+    # A key that applies and has no default is required.
+    defaults = {f.name: f.default for f in fields(GeometrySpec)}
+    for key in _GEOMETRY_ALLOWED[kind]:
+        if defaults[key] is None and key not in geo_values:
             raise ConfigError(f"geometry kind {kind!r} requires key {key!r}")
     geometry = GeometrySpec(**geo_values)
     if geometry.kind == "icosphere" and geometry.radius <= 0:

@@ -45,13 +45,13 @@ class ConformalState:
     """Flow state: mesh, per-vertex log conformal factor, time.
 
     Built only for a metric: ``u`` must give finite, positive vertex
-    areas and a finite total area, and ``t`` must be finite, or the
-    constructor raises ``ValueError``.  The scalar curvature ``R`` of
-    e^u g0, the vertex areas ``mass_diag`` (base_vertex_area * e^u) and
-    ``area`` are computed then; ``r_avg``, ``R_min`` and ``R_max`` are
-    read off them.  ``u`` must not be modified in place afterwards.
-    States compare by identity: two states are equal only if they are
-    the same object.
+    areas, a finite total area and a finite curvature, and ``t`` must be
+    finite, or the constructor raises ``ValueError``.  The scalar
+    curvature ``R`` of e^u g0 with its ``R_min`` and ``R_max``, the
+    vertex areas ``mass_diag`` (base_vertex_area * e^u) and ``area`` are
+    computed then; ``r_avg`` is read off them.  ``u`` must not be
+    modified in place afterwards.  States compare by identity: two states
+    are equal only if they are the same object.
     """
 
     def __init__(self, mesh, u, t=0.0):
@@ -64,31 +64,29 @@ class ConformalState:
             self.R = scalar_curvature(mesh, self.u)
             self.mass_diag = mesh.base_vertex_area * np.exp(self.u)
             self.area = float(self.mass_diag.sum())
+        self.R_min = float(self.R.min())
+        self.R_max = float(self.R.max())
         # u is finite here, so each vertex area lies in [0, inf].
         if not (self.mass_diag.min() > 0 and self.area < math.inf):
-            raise ValueError(
-                f"u in [{self.u.min():.6g}, {self.u.max():.6g}] gives vertex "
-                f"areas that are not finite and positive")
+            problem = "vertex areas that are not finite and positive"
+        elif not (math.isfinite(self.R_min) and math.isfinite(self.R_max)):
+            problem = "a curvature that is not finite"
+        else:
+            return
+        raise ValueError(f"u in [{self.u.min():.6g}, {self.u.max():.6g}] "
+                         f"gives {problem}")
 
     @property
     def r_avg(self):
         total = np.einsum("i,i->", self.R, self.mass_diag)
         return float(total) / self.area
 
-    @property
-    def R_min(self):
-        return float(self.R.min())
-
-    @property
-    def R_max(self):
-        return float(self.R.max())
-
 
 class SpectrumSnapshot(ConformalState):
     """A recorded state with the spectrum solved on its metric.
 
-    Built from ``state``, whose ``mesh``, ``u``, ``t``, ``R``,
-    ``mass_diag`` and ``area`` it shares rather than recomputes.
+    Built from ``state``, whose ``mesh``, ``u``, ``t``, ``R``, ``R_min``,
+    ``R_max``, ``mass_diag`` and ``area`` it shares rather than recomputes.
     ``eigenvalues`` (k + 1,) and ``eigenvectors`` (V, k + 1) are the
     tracked branches 0..k: column i is branch i's eigenfunction, of unit
     M-norm for M = diag(``mass_diag``), with eigenvalue
@@ -305,8 +303,7 @@ def run(initial, cfg, on_record=None):
             dt = min(dt, cfg.t_end - state.t)
             try:
                 state = step(state, cfg, dt)
-            except FlowBlowUpError as exc:
-                state = exc.last_state
+            except FlowBlowUpError:
                 reason = "nonfinite_state"
                 break
             steps += 1

@@ -8,6 +8,7 @@ reproduce.  Conformal metrics g = e^u g0 never change the connectivity
 or the stiffness matrix; only the lumped mass rescales.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -144,7 +145,6 @@ class Mesh:
 
         n_edges = (3 * n_faces) // 2
         self.euler_characteristic = n_vertices - n_edges + n_faces
-        self._stiffness = None
 
     def _check_closed_oriented(self, n_vertices):
         """Refuse a mesh that is not closed and consistently oriented.
@@ -181,12 +181,10 @@ class Mesh:
     def n_faces(self):
         return len(self.faces)
 
-    @property
+    @functools.cached_property
     def stiffness(self):
         """Cotangent stiffness matrix, assembled once and cached."""
-        if self._stiffness is None:
-            self._stiffness = assemble_stiffness(self)
-        return self._stiffness
+        return assemble_stiffness(self)
 
     def __repr__(self):
         return (f"Mesh(V={self.n_vertices}, F={self.n_faces}, "
@@ -240,13 +238,19 @@ def assemble_stiffness(mesh):
     return sparse.csr_matrix((data, indices, indptr), shape=(n, n))
 
 
-def assemble_mass(mesh, u):
-    """Lumped mass matrix of g = e^u g0: diag(base_vertex_area * e^u)."""
+def _checked_factor(mesh, u):
+    """``u`` as a float array, refused unless finite and per-vertex."""
     u = np.asarray(u, dtype=np.float64)
     if u.shape != (mesh.n_vertices,):
         raise ValueError("u must be a per-vertex array")
     if not np.all(np.isfinite(u)):
         raise ValueError("conformal factor must be finite")
+    return u
+
+
+def assemble_mass(mesh, u):
+    """Lumped mass matrix of g = e^u g0: diag(base_vertex_area * e^u)."""
+    u = _checked_factor(mesh, u)
     return sparse.diags(mesh.base_vertex_area * np.exp(u))
 
 
@@ -261,11 +265,7 @@ def scalar_curvature(mesh, u):
     against m returns 4 * pi * chi for every finite u because the
     stiffness has zero column sums (discrete Gauss-Bonnet).
     """
-    u = np.asarray(u, dtype=np.float64)
-    if u.shape != (mesh.n_vertices,):
-        raise ValueError("u must be a per-vertex array")
-    if not np.all(np.isfinite(u)):
-        raise ValueError("conformal factor must be finite")
+    u = _checked_factor(mesh, u)
     return _curvature(mesh, u, mesh.base_vertex_area * np.exp(u))
 
 

@@ -5,7 +5,7 @@ d(lambda)/dt = lambda * int f^2 R dmu; the normalized flow subtracts
 r * lambda.  The general dimension-n form
 lambda * int f^2 R - int R |grad f|^2 + 2 int Ric(grad f, grad f)
 collapses to that surface form through Ric = (R/2) g in 2D, so only the
-surface form is evaluated.  This module compares it against central
+surface form is evaluated.  This module compares it against three-point
 differences of the recorded eigenvalue branches, checks the
 normalization-derived integrability conditions and the curvature
 evolution law, and re-exports ``spectral.perelman_lambda``, the smallest
@@ -62,10 +62,13 @@ def surface_rate(snapshot, index, mode):
 
 
 def central_window(window):
-    """``(s_prev, s_mid, s_next, h)`` of a window of three snapshots.
+    """``(s_prev, s_mid, s_next, rate)`` of a window of three snapshots.
 
-    Central differences need exactly three snapshots at one equal
-    spacing ``h``; anything else is a ``ValueError``.
+    ``rate(prev, mid, next)`` is the three-point derivative, second order
+    in the two spacings, at the middle time of values taken at the three
+    snapshots.  Spacings equal to 1e-9 relative give the central
+    difference alone.  Anything but three snapshots at strictly
+    increasing times is a ``ValueError``.
     """
     if len(window) != 3:
         raise ValueError(f"window holds {len(window)} snapshots, not three")
@@ -74,50 +77,54 @@ def central_window(window):
     h2 = s_next.t - s_mid.t
     if h1 <= 0 or h2 <= 0:
         raise ValueError("snapshot times must be strictly increasing")
-    if abs(h1 - h2) > 1e-9 * max(h1, h2):
-        raise ValueError(
-            f"recording spacing is not uniform ({h1:.3e} vs {h2:.3e}); "
-            "central differences need equal intervals"
-        )
-    return s_prev, s_mid, s_next, 0.5 * (h1 + h2)
+    span = h1 + h2
+    skew = 0.0 if abs(h1 - h2) <= 1e-9 * max(h1, h2) else (h1 - h2) / span
+
+    # (h1^2 (next - mid) + h2^2 (mid - prev)) / (h1 h2 (h1 + h2)), split
+    # into the central difference and a correction that vanishes at h1 = h2.
+    def rate(prev, mid, after):
+        central = (after - prev) / span
+        if not skew:
+            return central
+        return central + skew * ((after - mid) / h2 - (mid - prev) / h1)
+
+    return s_prev, s_mid, s_next, rate
 
 
 def scalar_curvature_evolution_residual(window, mode):
     """Residual of the curvature evolution law of the ``mode`` flow,
     dR/dt = Delta R + R^2, less r R on the normalized flow.
 
-    Central-differences R across the window and subtracts the right-hand
-    side at its middle snapshot, with the geometer's Laplacian Delta_g R
+    Differences R across the window and subtracts the right-hand side at
+    its middle snapshot, with the geometer's Laplacian Delta_g R
     = -(L R) / (base_vertex_area * e^u).  Returns the per-vertex residual
     array; it vanishes to O(h^2) on exact flows.
     """
     _check_mode(mode)
-    s_prev, s_mid, s_next, h = central_window(window)
+    s_prev, s_mid, s_next, rate = central_window(window)
     r_avg = s_mid.r_avg if mode == "normalized" else 0.0
-    drdt = (s_next.R - s_prev.R) / (2.0 * h)
+    drdt = rate(s_prev.R, s_mid.R, s_next.R)
     laplace_r = -(s_mid.mesh.stiffness @ s_mid.R) / s_mid.mass_diag
     return drdt - (laplace_r + s_mid.R**2 - r_avg * s_mid.R)
 
 
 def finite_difference_rate(window, members):
-    """Central-difference eigenvalue rate at the window's middle time.
+    """Three-point eigenvalue rate at the window's middle time.
 
     ``members`` is a branch index or a cluster of indices; clusters are
     differenced through their mean eigenvalue, which is invariant under
     the arbitrary eigenbasis rotations inside a degenerate eigenspace.
     """
-    s_prev, _, s_next, h = central_window(window)
+    *snapshots, rate = central_window(window)
     members = np.atleast_1d(members).astype(int)
     if not len(members) or members.min() < 1:
         raise ValueError("rates are defined for branch indices >= 1")
-
-    lam_prev = np.mean(s_prev.eigenvalues[members])
-    lam_next = np.mean(s_next.eigenvalues[members])
-    return float((lam_next - lam_prev) / (2.0 * h))
+    return float(rate(*(np.mean(snap.eigenvalues[members])
+                        for snap in snapshots)))
 
 
-def _aligned_derivative(window, h, members):
-    """Gauge-fixed central difference of an eigenvalue group's block.
+def _aligned_derivative(window, rate, members):
+    """Gauge-fixed three-point ``rate`` of an eigenvalue group's block.
 
     Eigenvectors inside a (near-)degenerate cluster are defined only up
     to an orthogonal mixing, and the solver's choice jitters from one
@@ -139,8 +146,8 @@ def _aligned_derivative(window, h, members):
         mass_gram(prev, target, s_mid.mass_diag),
         mass_gram(after, target, s_next.mass_diag)]))
     rotations = u_svd @ vt_svd
-    f_dot = (np.einsum("ip,pq->iq", after, rotations[1])
-             - np.einsum("ip,pq->iq", prev, rotations[0])) / (2.0 * h)
+    f_dot = rate(np.einsum("ip,pq->iq", prev, rotations[0]), target,
+                 np.einsum("ip,pq->iq", after, rotations[1]))
     return f_dot, float(cos.min())
 
 
@@ -161,7 +168,7 @@ def _normalization_residuals(s_mid, index, f_dot, mode):
 def integrability_residuals(window, mode, eigen_index, allow_cluster=False):
     """Residuals of the two eigenfunction normalization identities.
 
-    The time derivative f' is the central difference of the eigenvector
+    The time derivative f' is the three-point rate of the eigenvector
     block of the index's eigenvalue group (a simple branch is a group of
     one) in the Procrustes gauge of ``_aligned_derivative``.  With dmu
     the middle measure:
@@ -177,7 +184,7 @@ def integrability_residuals(window, mode, eigen_index, allow_cluster=False):
     run.
     """
     _check_mode(mode)
-    _, s_mid, _, h = central_window(window)
+    _, s_mid, _, rate = central_window(window)
     if eigen_index < 1:
         raise ValueError("integrability applies to nonconstant modes")
 
@@ -188,7 +195,7 @@ def integrability_residuals(window, mode, eigen_index, allow_cluster=False):
             f"index {eigen_index} sits in the degenerate cluster "
             f"{members}; the branch derivative is gauge-ambiguous"
         )
-    f_dot, _ = _aligned_derivative(window, h, members)
+    f_dot, _ = _aligned_derivative(window, rate, members)
     return _normalization_residuals(
         s_mid, eigen_index, f_dot[:, members.index(eigen_index)], mode)
 
@@ -232,8 +239,8 @@ def variation_report(snapshots, mode):
 
     Produces one row per eigenvalue group (a cluster, or a simple branch
     as a group of one) per interior time of the consecutive
-    ``snapshots`` of a ``mode`` flow; a window that ``central_window``
-    refuses is skipped.  Rows compare the group's mean eigenvalue, and
+    ``snapshots`` of a ``mode`` flow, whatever the two spacings around
+    it.  Rows compare the group's mean eigenvalue, and
     those whose eigenspace overlap dropped below the loss threshold at
     either neighbor are marked ``tracking_ok=False``.  Integrability
     residuals are reported only for simple, well-tracked branches (NaN
@@ -242,11 +249,7 @@ def variation_report(snapshots, mode):
     _check_mode(mode)
     rows = []
     for window in zip(snapshots, snapshots[1:], snapshots[2:]):
-        try:
-            _, s_mid, _, h = central_window(window)
-        except ValueError:
-            continue
-
+        _, s_mid, _, rate = central_window(window)
         values = s_mid.eigenvalues
         for cluster in eigenvalue_clusters(values):
             members = tuple(cluster)
@@ -256,7 +259,7 @@ def variation_report(snapshots, mode):
                                  for m in members]))
             # Per-vector overlaps jitter inside a degenerate eigenspace;
             # what tracking preserves is the span.
-            f_dot, cosine = _aligned_derivative(window, h, members)
+            f_dot, cosine = _aligned_derivative(window, rate, members)
             tracking_ok = cosine >= TRACKING_OVERLAP_FLOOR
             res1 = res2 = math.nan
             if not is_cluster and tracking_ok:

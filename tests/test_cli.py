@@ -417,6 +417,74 @@ def test_main_runs_subcommand_and_overrides(tmp_path):
     assert summary["experiment"] == "verify"  # subcommand wins over [experiment]
 
 
+SOLITON = """\
+[geometry]
+kind = icosphere
+subdivisions = 2
+radius = 1.5
+
+[flow]
+mode = unnormalized
+dt_init = 2e-3
+t_end = 0.1
+record_every = 10
+spectrum_k = 8
+"""
+
+CONJECTURE = """\
+[geometry]
+kind = icosphere
+subdivisions = 2
+
+[perturbation]
+amplitude = 0.2
+seed = 3
+
+[flow]
+mode = normalized
+dt_init = 2e-4
+t_end = 0.02
+record_every = 20
+spectrum_k = 4
+"""
+
+
+def run_main(tmp_path, experiment, text):
+    """Exit code and summary of ``experiment`` run by ``main`` on ``text``."""
+    config_path = tmp_path / f"{experiment}.cfg"
+    config_path.write_text(text)
+    out_dir = tmp_path / experiment
+    code = main([experiment, "--config", str(config_path),
+                 "--out", str(out_dir), "--quiet"])
+    return code, json.loads((out_dir / "summary.json").read_text())
+
+
+def test_main_runs_the_soliton_experiment(tmp_path):
+    # The round sphere of radius 1.5 shrinks by sigma(t) = 1 - 2 t / 1.5^2;
+    # lambda_1 sigma stays within 1.9e-3 of lambda_1(0) here (measured).
+    code, summary = run_main(tmp_path, "soliton", SOLITON)
+    assert code == 0
+    assert summary["n_snapshots"] == 6
+    soliton = summary["soliton"]
+    assert soliton["epsilon"] == -1.0 / 1.5**2
+    assert 0.0 < soliton["max_rescaled_lambda1_deviation"] < 3e-3
+
+
+def test_main_runs_the_conjecture_experiment(tmp_path):
+    # Normalized flow at unit area: lambda_1 * area rises towards 8 pi,
+    # 5.0% short of it at t_end (measured).
+    code, summary = run_main(tmp_path, "conjecture", CONJECTURE)
+    assert code == 0
+    conjecture = summary["conjecture"]
+    assert conjecture["target_8pi"] == 8.0 * math.pi
+    assert conjecture["lambda1_area_nondecreasing"] is True
+    series = conjecture["lambda1_area_series"]
+    assert len(series) == summary["n_snapshots"] == 6
+    assert series[-1] == conjecture["final_lambda1_area"]
+    assert 0.04 < conjecture["final_rel_deviation_from_8pi"] < 0.06
+    assert summary["area_drift_rel"] < 1e-10
+
+
 def test_main_out_overrides_config_directory(tmp_path):
     config_path = tmp_path / "exp.cfg"
     config_path.write_text(

@@ -31,6 +31,7 @@ from ricciflow.spectral import (
 from ricciflow.variation import (
     ClusterGaugeError,
     _aligned_derivative,
+    central_window,
     finite_difference_rate,
     integrability_residuals,
     perelman_lambda,
@@ -200,6 +201,22 @@ def test_finite_difference_rate_exact_on_linear_branches():
     assert_allclose(finite_difference_rate(window, (2, 3)), 0.5, atol=1e-12)
 
 
+def test_three_point_rate_is_second_order_on_unequal_spacing():
+    # lambda(t) = exp(sin 3t) about t = 0.3, spacings h before and h/2
+    # after: halving h cuts the error 4x.  The plain central difference
+    # (lambda_next - lambda_prev) / (3h/2) is only first order here.
+    t0 = 0.3
+    exact = 3.0 * math.cos(3.0 * t0) * math.exp(math.sin(3.0 * t0))
+    errors = []
+    for h in (0.04, 0.02, 0.01):
+        times = [t0 - h, t0, t0 + 0.5 * h]
+        window = fake_lambda_snapshots(
+            times, [[0.0, math.exp(math.sin(3.0 * t))] for t in times])
+        errors.append(abs(finite_difference_rate(window, 1) - exact))
+    ratios = [errors[0] / errors[1], errors[1] / errors[2]]
+    assert all(3.5 <= ratio <= 4.5 for ratio in ratios), ratios
+
+
 def test_finite_difference_rate_validation():
     times = [0.0, 0.1, 0.2, 0.3]
     snapshots = fake_lambda_snapshots(times, [[0.0, 1.0]] * 4)
@@ -328,7 +345,8 @@ def test_simple_rows_track_as_the_recorded_overlaps(bumpy_sphere_traj):
         assert not row.is_cluster
         window = snapshots[position[row.t] - 1:position[row.t] + 2]
         recorded = min(snap.overlaps[row.index] for snap in window[1:])
-        _, cosine = _aligned_derivative(window, 1.0, row.members)
+        _, cosine = _aligned_derivative(window, central_window(window)[3],
+                                        row.members)
         assert_allclose(cosine, recorded, rtol=1e-12)
         assert row.tracking_ok == (recorded >= TRACKING_OVERLAP_FLOOR)
 
@@ -380,9 +398,12 @@ def test_crossed_branches_stay_simple_rows(bumpy_sphere_traj):
                  [fields(plain[labels[row.index] - 1]) for row in rows])
 
 
-def test_report_skips_nonuniform_spacing(round_sphere_traj):
+def test_report_covers_nonuniform_spacing(round_sphere_traj):
+    # Spacings 2e-3 and 1e-3: the window still gives both shells' rows.
     skewed = [round_sphere_traj.snapshots[i] for i in (0, 2, 3)]
-    assert variation_report(skewed, round_sphere_traj.mode) == []
+    rows = variation_report(skewed, round_sphere_traj.mode)
+    assert [row.members for row in rows] == [(1, 2, 3), (4, 5, 6, 7, 8)]
+    assert all(row.rel_error < 1e-3 for row in rows)
 
 
 def window_fed_report(traj):
@@ -398,7 +419,7 @@ def window_fed_report(traj):
     ("bumpy_sphere_traj", 7, 30),     # 5 interior times x 6 simple branches
     ("round_sphere_traj", 7, 10),     # 5 interior times x 2 shells
     ("steady_torus_traj", 6, 8),      # 4 interior times x 2 clusters
-    ("ragged_end_traj", 7, 24),       # the last, uneven window is skipped
+    ("ragged_end_traj", 7, 30),       # the last window is uneven
     ("partial_failure_traj", 4, 12),  # 2 interior times before the stop
 ])
 def test_window_fed_rows_equal_whole_report(fixture, n_snapshots, n_rows,
